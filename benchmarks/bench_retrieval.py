@@ -8,11 +8,11 @@ oracle:
 - ``exact``         — blocked float32 brute-force cosine (the recall
   oracle and QPS baseline);
 - ``binary``        — median-threshold sign bits packed to ``uint64``,
-  popcount Hamming scan (64x smaller than float32);
+  popcount Hamming scan over a flat (one-cell) ``IVFIndex``;
 - ``binary_rerank`` — the same Hamming scan as a candidate generator:
   top-R shortlist re-scored exactly against a float32 store;
 - ``pq``            — 8 x 256-code EMA product quantizer, memory-bounded
-  ADC lookup-table scan (32x smaller);
+  ADC lookup-table scan over a flat ``IVFIndex``;
 - ``ivf_pq``        — coarse cells + ``nprobe`` probing with residual PQ
   codes (scans ~``nprobe/num_cells`` of the corpus);
 - ``ivf_binary``    — the same cells with raw packed binary codes.
@@ -38,10 +38,8 @@ import numpy as np
 
 from repro.nn.rng import derive_rng
 from repro.retrieval import (
-    BinaryIndex,
     BinaryQuantizer,
     IVFIndex,
-    PQIndex,
     ProductQuantizer,
     mean_average_precision,
     recall_at_k,
@@ -151,7 +149,7 @@ def main(argv: List[str] | None = None) -> int:
     # best-of-3 even in quick mode: single-shot timings on a loaded CI
     # box are too noisy for the relative gates below
     repeats = 3
-    query_block = 8  # bounds the (block, item_block) scan intermediates
+    query_block = 8  # as in earlier recordings, so flat rows stay comparable
     # quick keeps the full-run scan fraction (nprobe/num_cells = 1/16)
     num_cells = 128 if args.quick else 256
     nprobe = 8 if args.quick else 16
@@ -181,8 +179,8 @@ def main(argv: List[str] | None = None) -> int:
     # -- binary / Hamming (with and without exact rerank) -------------------
     started = time.perf_counter()
     binary_quantizer = BinaryQuantizer.fit_median(train)
-    binary_index = BinaryIndex(binary_quantizer, query_block=query_block,
-                               store_embeddings=True)
+    binary_index = IVFIndex.flat(binary_quantizer, query_block=query_block,
+                                 store_embeddings=True)
     add_chunked(binary_index, corpus)
     binary_build_s = time.perf_counter() - started
     binary_qps, (ids, _) = timed_search(
@@ -192,7 +190,7 @@ def main(argv: List[str] | None = None) -> int:
         "qps": round(binary_qps, 2),
         "build_s": round(binary_build_s, 3),
         **quality(ids, wide_ids, oracle_ids),
-        "bytes_per_item": binary_index.quantizer.words * 8,
+        "bytes_per_item": binary_quantizer.words * 8 + 8,  # codes + id
     }
     print(f"binary        qps={binary_qps:10.1f} "
           f"recall@10={report['binary']['recall_at_10']:.3f}")
@@ -205,9 +203,8 @@ def main(argv: List[str] | None = None) -> int:
         "build_s": round(binary_build_s, 3),
         "rerank": RERANK,
         **quality(ids, wide_ids, oracle_ids),
-        # packed codes + the retained float32 rows
-        "bytes_per_item": binary_index.quantizer.words * 8
-        + DIM * 4,
+        # packed codes + id + the retained float32 rows
+        "bytes_per_item": binary_quantizer.words * 8 + 8 + DIM * 4,
     }
     print(f"binary_rerank qps={rr_qps:10.1f} "
           f"recall@10={report['binary_rerank']['recall_at_10']:.3f}")
@@ -227,7 +224,7 @@ def main(argv: List[str] | None = None) -> int:
     started = time.perf_counter()
     pq = ProductQuantizer(DIM, 8, 256, rng=derive_rng(3))
     pq.fit(train, epochs=3, batch_size=2048, seed=4)
-    pq_index = PQIndex(pq, query_block=query_block)
+    pq_index = IVFIndex.flat(pq, query_block=query_block)
     add_chunked(pq_index, corpus)
     pq_build_s = time.perf_counter() - started
     pq_qps, (ids, _) = timed_search(
@@ -237,7 +234,8 @@ def main(argv: List[str] | None = None) -> int:
         "qps": round(pq_qps, 2),
         "build_s": round(pq_build_s, 3),
         **quality(ids, wide_ids, oracle_ids),
-        "bytes_per_item": pq.num_subspaces * pq.code_dtype.itemsize,
+        "bytes_per_item": pq.num_subspaces * pq.code_dtype.itemsize
+        + 8 + 4,  # codes + id + float32 bias per item
     }
     print(f"pq            qps={pq_qps:10.1f} "
           f"recall@10={report['pq']['recall_at_10']:.3f}")
@@ -288,7 +286,7 @@ def main(argv: List[str] | None = None) -> int:
         "num_cells": num_cells,
         "nprobe": nprobe,
         **quality(ids, wide_ids, oracle_ids),
-        "bytes_per_item": binary_index.quantizer.words * 8 + 8,
+        "bytes_per_item": binary_quantizer.words * 8 + 8,
     }
     print(f"ivf_binary    qps={ivf_binary_qps:10.1f} "
           f"recall@10={report['ivf_binary']['recall_at_10']:.3f}")

@@ -158,6 +158,16 @@ class Tracer:
                 out[key] = value
         return out
 
+    def fail(self, reason: str) -> None:
+        """Poison the trace from outside the tape: ``finalize`` raises.
+
+        For computations that bypass ``Function.apply`` yet feed traced
+        ops — their outputs would otherwise be recorded as constants and
+        replayed stale.
+        """
+        if self._error is None:
+            self._error = TraceError(reason)
+
     # -- finishing ---------------------------------------------------------
     @property
     def failed(self) -> Optional[TraceError]:

@@ -35,6 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..nn import autograd
 from ..nn._ops.conv import _im2col, conv2d_output_shape
 from ..nn.layers.conv import _pair
 from ..nn.module import Module
@@ -102,10 +103,15 @@ class LoweredModule(Module):
 
     Inference-only: forwards return constant (non-differentiable) tensors
     and there are no Parameters — all state lives in buffers so
-    ``state_dict`` round-trips through the usual Module machinery.
+    ``state_dict`` round-trips through the usual Module machinery.  A
+    forward under an active :mod:`repro.engine` trace fails that trace,
+    so the engine serves the model eagerly instead of replaying a
+    constant.
     """
 
     inference_only = True
+    #: what forbid_silent_downcast names if the forward downcasts.
+    _requant_grid = "the integer requantization grid"
 
     def __init__(
         self, weight_bits: int, act_bits: int, act_range: Tuple[float, float]
@@ -191,6 +197,22 @@ class LoweredModule(Module):
         self._operand_cache = (key, acc_dtype, w_mat)
         return acc_dtype, w_mat
 
+    def forward(self, x) -> Tensor:
+        tracer = autograd._active_tracer()
+        if tracer is not None:
+            # The integer kernels run off the autograd tape: a trace
+            # would record this output as a constant, and every replay
+            # would return the embedding of the traced input.
+            tracer.fail(
+                f"{type(self).__name__} computes off the autograd tape; "
+                f"its output cannot be replayed"
+            )
+        with forbid_silent_downcast(self._requant_grid):
+            return self._forward_exact(x)
+
+    def _forward_exact(self, x) -> Tensor:
+        raise NotImplementedError
+
     def _quantize_input(self, x) -> Tuple[np.ndarray, float]:
         arr = np.asarray(x.data if isinstance(x, Tensor) else x)
         codes, step, _ = quantize_to_int(arr, self.act_bits, self.act_lo, self.act_hi)
@@ -205,6 +227,8 @@ class LoweredModule(Module):
 
 class IntConv2d(LoweredModule):
     """Integer conv2d: uint8 weight codes, im2col GEMM, per-channel requant."""
+
+    _requant_grid = "the integer conv requantization grid"
 
     def __init__(
         self,
@@ -277,10 +301,6 @@ class IntConv2d(LoweredModule):
             self.groups, self.out_channels // self.groups, self._gemm_terms()
         )
 
-    def forward(self, x) -> Tensor:
-        with forbid_silent_downcast("the integer conv requantization grid"):
-            return self._forward_exact(x)
-
     def _forward_exact(self, x) -> Tensor:
         x_codes, x_step = self._quantize_input(x)
         if x_codes.ndim != 4 or x_codes.shape[1] != self.in_channels:
@@ -292,15 +312,16 @@ class IntConv2d(LoweredModule):
         n, _, h, w = x_codes.shape
         kh, kw = self.kernel_size
         ph, pw = self.padding
-        x_codes = x_codes.astype(acc_dtype)
-        if ph or pw:
-            x_codes = np.pad(
-                x_codes, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant"
-            )
+        # Zero-pad and cast to the accumulator in one copy (np.pad costs
+        # more than the GEMM at serving batch sizes).
+        padded = np.zeros(
+            (n, self.in_channels, h + 2 * ph, w + 2 * pw), dtype=acc_dtype
+        )
+        padded[:, :, ph:ph + h, pw:pw + w] = x_codes
         oh, ow = conv2d_output_shape(
             (h, w), self.kernel_size, self.stride, self.padding
         )
-        cols = _im2col(x_codes, kh, kw, *self.stride)
+        cols = _im2col(padded, kh, kw, *self.stride)
         cols = cols.reshape(n, self.groups, self._gemm_terms(), oh * ow)
         acc = np.matmul(w_mat[None], cols)  # exact: see _choose_accumulator
         requant = (self.weight_scale * x_step).reshape(
@@ -337,6 +358,8 @@ class IntConv2d(LoweredModule):
 
 class IntLinear(LoweredModule):
     """Integer linear: uint8 weight codes, GEMM, per-channel requant."""
+
+    _requant_grid = "the integer linear requantization grid"
 
     def __init__(
         self,
@@ -386,10 +409,6 @@ class IntLinear(LoweredModule):
 
     def _as_gemm_matrix(self, codes: np.ndarray) -> np.ndarray:
         return codes.reshape(self.out_features, self.in_features)
-
-    def forward(self, x) -> Tensor:
-        with forbid_silent_downcast("the integer linear requantization grid"):
-            return self._forward_exact(x)
 
     def _forward_exact(self, x) -> Tensor:
         x_codes, x_step = self._quantize_input(x)

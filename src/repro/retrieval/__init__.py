@@ -1,22 +1,23 @@
-"""Quantized-embedding retrieval: binary/PQ indexes, training, serving.
+"""Quantized-embedding retrieval: binary/PQ codes, one index, training, serving.
 
-The production workload for the paper's contrastive-quant embeddings
-(ROADMAP open item 1): million-item similarity search over compressed
-codes.  Two compression families, one deterministic ranking contract:
+The production workload for the paper's contrastive-quant embeddings:
+million-item similarity search over compressed codes.  Two compression
+families, one index, one deterministic ranking contract:
 
 - **Binary** — per-coordinate thresholds → packed ``uint64`` words →
-  popcount Hamming search (:class:`BinaryQuantizer`,
-  :class:`BinaryIndex`; PAPERS.md covariance-structure analysis).
+  popcount Hamming distances (:class:`BinaryQuantizer`; PAPERS.md
+  covariance-structure analysis).
 - **Learned codebooks** — EMA :class:`VectorQuantizer` /
   :class:`ProductQuantizer` with dead-code restart, trained
   contrastively with a :class:`CodeMemory` queue (:class:`VQTrainer`,
-  MeCoQ) and searched via ADC lookup tables (:class:`PQIndex`).
+  MeCoQ) and scored via ADC lookup tables.
 
-Either family scales past exhaustive scans through the IVF layer
-(:class:`IVFIndex`): coarse cells from a :class:`VectorQuantizer`,
-``nprobe``-bounded probing, residual PQ or raw binary cell codes, and an
-optional exact rerank stage over a retained :class:`FloatStore`
-(``rerank_exact``), which every index exposes via ``store_embeddings``.
+Both are served by :class:`IVFIndex`: coarse cells from a
+:class:`VectorQuantizer`, ``nprobe``-bounded probing, residual PQ or raw
+binary cell codes, one tiled scan, and an optional exact rerank stage
+over a retained :class:`FloatStore` (``rerank_exact``, enabled by
+``store_embeddings``).  :meth:`IVFIndex.flat` is the exhaustive index:
+one cell centred on the origin, scanned by the same code.
 
 Every index ranks by ascending ``(distance, id)`` and the float oracle
 :func:`exact_search` by descending ``(similarity, ascending id)``, so
@@ -28,7 +29,6 @@ micro-batching, refusing cross-model-version queries with
 """
 
 from .binary import (
-    BinaryIndex,
     BinaryQuantizer,
     hamming_dtype,
     pack_bits,
@@ -38,7 +38,6 @@ from .binary import (
 )
 from .ivf import IVFIndex
 from .metrics import exact_search, mean_average_precision, recall_at_k
-from .pq import PQIndex
 from .ranking import merge_topk, rowwise_topk, topk_largest, topk_smallest
 from .rerank import FloatStore, rerank_exact
 from .service import RetrievalService, StaleIndexError
@@ -46,12 +45,10 @@ from .trainer import VQTrainer, l2_normalize
 from .vq import CodeMemory, ProductQuantizer, VectorQuantizer
 
 __all__ = [
-    "BinaryIndex",
     "BinaryQuantizer",
     "CodeMemory",
     "FloatStore",
     "IVFIndex",
-    "PQIndex",
     "ProductQuantizer",
     "RetrievalService",
     "StaleIndexError",

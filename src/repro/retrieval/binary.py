@@ -18,19 +18,14 @@ hypothesis suite in ``tests/retrieval`` pins all three properties.
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Dict, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
-from .ranking import topk_smallest
-from .rerank import FloatStore, rerank_exact
-
 __all__ = [
     "BinaryQuantizer",
-    "BinaryIndex",
     "hamming_dtype",
+    "hamming_kernel",
     "pack_bits",
     "unpack_bits",
     "packed_hamming",
@@ -42,6 +37,8 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 # can force the fallback path on any numpy.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)],
                       dtype=np.uint8)
+# Bytes per table-lookup call in hamming_kernel's fallback path.
+_LUT_CHUNK = 1 << 15
 
 
 def packed_words(dim: int) -> int:
@@ -95,6 +92,45 @@ def hamming_dtype(words: int) -> np.dtype:
     """
     return np.dtype(np.uint16) if words * 64 <= np.iinfo(np.uint16).max \
         else np.dtype(np.int64)
+
+
+def hamming_kernel(words: int, pairs: int
+                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A Hamming-distance kernel over scratch reused across calls.
+
+    Returns ``kernel(query_codes, codes)``: the ``(Q, N)`` distances
+    between ``(Q, words)`` query codes and ``(N, words)`` stored codes,
+    for any ``Q * N <= pairs``, as a view into the scratch that stays
+    valid until the next call.  XOR, popcount and the word sum write
+    into buffers allocated once, so a scan over a million rows allocates
+    nothing per tile; distances are :func:`hamming_dtype` on both
+    popcount paths.
+    """
+    lut = not _HAS_BITWISE_COUNT  # 8-bit table popcount for numpy < 2.0
+    xor_buf = np.empty(pairs * words, dtype=np.uint64)
+    count_buf = None if lut else np.empty(pairs * words, dtype=np.uint8)
+    dist_buf = np.empty(pairs, dtype=hamming_dtype(words))
+
+    def kernel(query_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        shape = (query_codes.shape[0], codes.shape[0])
+        size = shape[0] * shape[1]
+        xor = xor_buf[:size * words].reshape(shape + (words,))
+        np.bitwise_xor(query_codes[:, None, :], codes[None, :, :], out=xor)
+        if lut:
+            # Table lookups overwrite each XOR byte with its popcount.
+            # np.take widens uint8 indices to intp, so chunking keeps
+            # that temporary at _LUT_CHUNK * 8 bytes.
+            as_bytes = xor_buf[:size * words].view(np.uint8)
+            for start in range(0, as_bytes.size, _LUT_CHUNK):
+                chunk = as_bytes[start:start + _LUT_CHUNK]
+                np.take(_POPCOUNT8, chunk, out=chunk, mode="clip")
+            count = xor.view(np.uint8)
+        else:
+            count = count_buf[:size * words].reshape(shape + (words,))
+            np.bitwise_count(xor, out=count)
+        return np.sum(count, axis=-1, out=dist_buf[:size].reshape(shape))
+
+    return kernel
 
 
 def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,213 +205,3 @@ class BinaryQuantizer:
     def encode(self, x: np.ndarray) -> np.ndarray:
         """``(N, dim)`` embeddings to ``(N, words)`` packed uint64 codes."""
         return pack_bits(self.binarize(x))
-
-
-class BinaryIndex:
-    """Packed-code Hamming index with batched top-k and incremental add.
-
-    Item ids are assignment order (0, 1, 2, ...).  Results are ranked by
-    ascending ``(Hamming distance, id)`` — fully deterministic, matching
-    the brute-force ``np.unpackbits`` oracle bit for bit.  ``add()`` is
-    thread-safe (amortised-growth storage behind a lock); ``search``
-    snapshots the current size, so concurrent adds never tear a query.
-
-    With ``store_embeddings=True`` the index also retains float32 rows
-    and ``search(..., rerank=R)`` re-scores the top-``R`` Hamming
-    shortlist with exact squared-L2 distances before returning top-k.
-    """
-
-    def __init__(self, quantizer: BinaryQuantizer,
-                 query_block: int = 32, *,
-                 store_embeddings: bool = False) -> None:
-        if not isinstance(quantizer, BinaryQuantizer):
-            raise TypeError(
-                f"quantizer must be a BinaryQuantizer, got "
-                f"{type(quantizer).__name__}"
-            )
-        if query_block < 1:
-            raise ValueError(f"query_block must be >= 1, got {query_block}")
-        self.quantizer = quantizer
-        self.query_block = int(query_block)
-        self._lock = threading.Lock()
-        self._codes = np.zeros((0, quantizer.words), dtype=np.uint64)
-        self._size = 0
-        self._store = FloatStore(quantizer.dim) if store_embeddings \
-            else None
-
-    @property
-    def store(self) -> Optional[FloatStore]:
-        """The float32 rerank store, or None when not retained."""
-        return self._store
-
-    @property
-    def dim(self) -> int:
-        return self.quantizer.dim
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._size
-
-    def codes(self) -> np.ndarray:
-        """Copy of the packed codes currently stored (in id order)."""
-        # Lock pairs _codes with _size: a concurrent add_codes could
-        # otherwise publish a new size against the old storage.
-        with self._lock:
-            return self._codes[:self._size].copy()
-
-    def _grow_to(self, size: int) -> None:
-        if size <= self._codes.shape[0]:
-            return
-        capacity = max(1024, self._codes.shape[0] * 2, size)
-        grown = np.zeros((capacity, self.quantizer.words), dtype=np.uint64)
-        grown[:self._size] = self._codes[:self._size]
-        self._codes = grown
-
-    def add(self, embeddings: np.ndarray) -> np.ndarray:
-        """Encode and store embeddings; returns their assigned ids."""
-        embeddings = np.asarray(embeddings)
-        codes = self.quantizer.encode(embeddings)
-        codes = self._check_codes(codes)
-        with self._lock:
-            ids = self._append_locked(codes)
-            if self._store is not None:
-                # Under the index lock so code ids and float rows can
-                # never interleave across concurrent add() calls.
-                self._store.append(embeddings.astype(np.float32,
-                                                     copy=False))
-        return ids
-
-    def add_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Store pre-packed codes; returns their assigned ids."""
-        if self._store is not None:
-            raise ValueError(
-                "add_codes() carries no float rows; an index built with "
-                "store_embeddings=True must add() raw embeddings"
-            )
-        codes = self._check_codes(codes)
-        with self._lock:
-            return self._append_locked(codes)
-
-    def _check_codes(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.ascontiguousarray(codes, dtype=np.uint64)
-        if codes.ndim != 2 or codes.shape[1] != self.quantizer.words:
-            raise ValueError(
-                f"codes must have shape (N, {self.quantizer.words}), got "
-                f"{codes.shape}"
-            )
-        return codes
-
-    def _append_locked(self, codes: np.ndarray) -> np.ndarray:
-        start = self._size
-        self._grow_to(start + codes.shape[0])
-        self._codes[start:start + codes.shape[0]] = codes
-        self._size += codes.shape[0]
-        return np.arange(start, self._size, dtype=np.int64)
-
-    def search(self, queries: np.ndarray, k: int = 10, *,
-               rerank: Optional[int] = None
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k by Hamming distance for ``(Q, dim)`` float queries.
-
-        Returns ``(ids, distances)``, both ``(Q, min(k, len(self)))``.
-        ``rerank=R`` re-scores the top-``R`` Hamming shortlist with
-        exact squared-L2 distances against the float store (requires
-        ``store_embeddings=True``); distances are then float32, not
-        Hamming counts.
-        """
-        ids, dists, _ = self._search(queries, k, rerank)
-        return ids, dists
-
-    def search_stats(self, queries: np.ndarray, k: int = 10, *,
-                     rerank: Optional[int] = None
-                     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
-        """Like :meth:`search`, plus scan/rerank timing + shortlist stats."""
-        return self._search(queries, k, rerank)
-
-    def _search(self, queries: np.ndarray, k: int,
-                rerank: Optional[int]
-                ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(
-                f"queries must have shape (Q, {self.dim}), got "
-                f"{queries.shape}"
-            )
-        if rerank is not None:
-            rerank = int(rerank)
-            if rerank < k:
-                raise ValueError(
-                    f"rerank shortlist must be >= k, got rerank={rerank} "
-                    f"< k={k}"
-                )
-            if self._store is None:
-                raise ValueError(
-                    "rerank requires an index built with "
-                    "store_embeddings=True"
-                )
-        shortlist_k = rerank if rerank is not None else k
-        started = time.perf_counter()
-        scan_ids, scan_dists = self.search_codes(
-            self.quantizer.encode(queries), shortlist_k)
-        stats: Dict[str, float] = {
-            "scan_s": time.perf_counter() - started,
-            "rerank_s": 0.0,
-            "shortlist": float(scan_ids.shape[1]),
-        }
-        if rerank is None:
-            return scan_ids, scan_dists, stats
-        started = time.perf_counter()
-        ids, dists = rerank_exact(self._store, queries, scan_ids, k,
-                                  metric="l2",
-                                  query_block=self.query_block)
-        stats["rerank_s"] = time.perf_counter() - started
-        return ids, dists, stats
-
-    def search_codes(self, queries: np.ndarray,
-                     k: int = 10) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k for already-packed ``(Q, words)`` query codes."""
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        if queries.ndim != 2 or queries.shape[1] != self.quantizer.words:
-            raise ValueError(
-                f"query codes must have shape (Q, {self.quantizer.words}), "
-                f"got {queries.shape}"
-            )
-        with self._lock:
-            size = self._size
-            codes = self._codes  # snapshot reference; rows < size are frozen
-        if size == 0:
-            raise ValueError(
-                "search on an empty BinaryIndex; add() items first"
-            )
-        stored = codes[:size]
-        id_blocks = []
-        dist_blocks = []
-        rows = min(self.query_block, queries.shape[0])
-        words = self.quantizer.words
-        # Scratch buffers reused across query blocks on *both* popcount
-        # paths: at a million items the XOR intermediate alone is tens
-        # of MB, and fresh page-faulted allocations per block would
-        # dominate the scan.  Distances are hamming_dtype(words) —
-        # uint16 up to 65472 bits — regardless of path.
-        xor_buf = np.empty((rows, size, words), dtype=np.uint64)
-        dist_buf = np.empty((rows, size), dtype=hamming_dtype(words))
-        if _HAS_BITWISE_COUNT:
-            cnt_buf = np.empty((rows, size, words), dtype=np.uint8)
-        else:  # 8-bit LUT fallback: popcount via byte-table gather
-            byte_view = xor_buf.view(np.uint8)
-            cnt_buf = np.empty((rows, size, words * 8), dtype=np.uint8)
-        for start in range(0, queries.shape[0], self.query_block):
-            block = queries[start:start + self.query_block]
-            b = block.shape[0]
-            np.bitwise_xor(block[:, None, :], stored[None, :, :],
-                           out=xor_buf[:b])
-            if _HAS_BITWISE_COUNT:
-                np.bitwise_count(xor_buf[:b], out=cnt_buf[:b])
-            else:
-                np.take(_POPCOUNT8, byte_view[:b], out=cnt_buf[:b],
-                        mode="clip")
-            dists = np.sum(cnt_buf[:b], axis=-1, out=dist_buf[:b])
-            ids, top = topk_smallest(dists, k)
-            id_blocks.append(ids)
-            dist_blocks.append(top)
-        return np.concatenate(id_blocks), np.concatenate(dist_blocks)

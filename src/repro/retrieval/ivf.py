@@ -1,4 +1,4 @@
-"""IVF-partitioned retrieval: coarse cells, ``nprobe`` search, rerank.
+"""The retrieval index: coarse cells, ``nprobe`` search, tiled scan, rerank.
 
 An :class:`IVFIndex` splits the corpus into ``num_cells`` Voronoi cells
 of a coarse :class:`~repro.retrieval.VectorQuantizer` (trained with the
@@ -7,7 +7,9 @@ package) and stores each cell's items in contiguous per-list arrays.  A
 query ranks cells by coarse distance and scans only the ``nprobe``
 nearest — the classic inverted-file trade: recall degrades gracefully
 with ``nprobe`` while scanned-item count (and therefore latency) drops
-by roughly ``nprobe / num_cells``.
+by roughly ``nprobe / num_cells``.  :meth:`IVFIndex.flat` builds the
+exhaustive index: one cell centred on the origin, scanned by the same
+code.
 
 Two encoders are supported:
 
@@ -19,29 +21,37 @@ Two encoders are supported:
               + sum_m  -2 <q_m, e_m>              (per-query tables)
               + sum_m  2 <c_m, e_m> + ||e_m||^2   (per-item bias)
 
-  The bias is precomputed float32 at ``add()`` time, so a scan is one
-  table gather per subspace plus one add — the per-query tables do not
-  depend on the cell.
+  The bias is precomputed float32 at ``add()`` time; a distance is the
+  float32 base (bias + coarse term) plus the M gathered table entries,
+  added in subspace order.  The per-query tables do not depend on the
+  cell.  With the origin cell the coarse term is ``||q||^2`` (``0`` for
+  ``"ip"``) and the residual is the item itself.
 - :class:`~repro.retrieval.BinaryQuantizer` — raw packed sign codes and
   integer Hamming scans.  Because the distances ignore the partition,
-  ``nprobe=num_cells`` returns results **id-for-id identical** to an
-  exhaustive :class:`~repro.retrieval.BinaryIndex` over the same data.
+  ``nprobe=num_cells`` returns results **id-for-id identical** to the
+  flat index over the same data.
 
+The scan is cell-major: for each probed cell, the queries of the block
+that probe it are scored against the cell's rows in dense tiles of at
+most ``_SCAN_PAIR_BUDGET`` (query, row) pairs, into scratch reused
+across tiles, so memory stays bounded at any corpus size or ``nprobe``.
 Every result is ranked by the package-wide ascending ``(distance, id)``
-contract.  With ``store_embeddings=True`` the index retains float32 rows
-and ``search(..., rerank=R)`` re-scores the top-``R`` shortlist exactly.
+contract through :func:`~repro.retrieval.ranking.select_smallest`.  With
+``store_embeddings=True`` the index retains float32 rows and
+``search(..., rerank=R)`` re-scores the top-``R`` shortlist exactly.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..nn.rng import derive_rng
-from .binary import BinaryQuantizer, hamming_dtype, packed_hamming
+from .binary import BinaryQuantizer, hamming_dtype, hamming_kernel
+from .ranking import select_smallest
 from .rerank import FloatStore, rerank_exact
 from .vq import ProductQuantizer, VectorQuantizer
 
@@ -49,27 +59,22 @@ __all__ = ["IVFIndex"]
 
 _METRICS = ("l2", "ip")
 
-# Cap on candidate rows per batched distance pass: bounds the (rows, M)
-# gather scratch even when nprobe=num_cells scans the whole corpus.
-_SCAN_ROW_BUDGET = 1 << 19
+# Cap on (query, row) pairs scored per tile: bounds every scan scratch
+# buffer whatever the corpus size, nprobe or query count.
+_SCAN_PAIR_BUDGET = 1 << 18
 
 Encoder = Union[ProductQuantizer, BinaryQuantizer]
+TileKernel = Callable[[np.ndarray, np.ndarray, np.ndarray,
+                       Optional[np.ndarray], slice], np.ndarray]
 
 
-def _segment_topk(dists: np.ndarray, ids: np.ndarray,
-                  needed: int) -> np.ndarray:
-    """Indices of the ``needed`` smallest ``(distance, id)`` pairs.
-
-    ``argpartition`` isolates the k-th smallest distance, then only the
-    (usually tiny) tie region is ranked exactly — much cheaper than a
-    full lexsort of the segment, with identical results.
-    """
-    if dists.shape[0] <= needed:
-        return np.lexsort((ids, dists))
-    part = np.argpartition(dists, needed - 1)[:needed]
-    threshold = dists[part].max()
-    cand = np.flatnonzero(dists <= threshold)
-    return cand[np.lexsort((ids[cand], dists[cand]))[:needed]]
+def _check_encoder(encoder: Encoder) -> Encoder:
+    if not isinstance(encoder, (ProductQuantizer, BinaryQuantizer)):
+        raise TypeError(
+            f"encoder must be a ProductQuantizer or BinaryQuantizer, "
+            f"got {type(encoder).__name__}"
+        )
+    return encoder
 
 
 def _assign_cells(centroids: np.ndarray, x: np.ndarray,
@@ -93,6 +98,47 @@ def _assign_cells(centroids: np.ndarray, x: np.ndarray,
         view += norms
         out[start:start + row_block] = np.argmin(view, axis=1)
     return out
+
+
+def _adc_kernel(pairs: int, rows: int) -> TileKernel:
+    """ADC tile kernel over scratch reused across tiles.
+
+    ``kernel(tables, coarse, codes, bias, span)`` scores ``(nq, M, K)``
+    query tables against cell rows ``span``: the float32 base
+    ``bias + coarse`` plus one ``np.take(..., out=)`` gather per
+    subspace, added in subspace order.  Returns an ``(nq, rows)`` view
+    into the scratch, valid until the next call.
+    """
+    acc_buf = np.empty(pairs, dtype=np.float32)
+    gather_buf = np.empty(pairs, dtype=np.float32)
+    idx_buf = np.empty(rows, dtype=np.intp)
+
+    def kernel(tables, coarse, codes, bias, span):
+        codes = codes[span]
+        nq, n = tables.shape[0], codes.shape[0]
+        acc = acc_buf[:nq * n].reshape(nq, n)
+        gather = gather_buf[:nq * n].reshape(nq, n)
+        idx = idx_buf[:n]
+        np.add(coarse[:, None], bias[span][None, :], out=acc)
+        for m in range(tables.shape[1]):
+            # mode="clip" skips numpy's bounds-check copy; code ids come
+            # from the encoder, so they are always < num_codes.
+            idx[:] = codes[:, m]
+            np.take(tables[:, m], idx, axis=1, out=gather, mode="clip")
+            np.add(acc, gather, out=acc)
+        return acc
+
+    return kernel
+
+
+def _hamming_tiles(words: int, pairs: int) -> TileKernel:
+    """Hamming tile kernel with the ADC kernel's call signature."""
+    hamming = hamming_kernel(words, pairs)
+
+    def kernel(query_codes, coarse, codes, bias, span):
+        return hamming(query_codes, codes[span])
+
+    return kernel
 
 
 class _CellList:
@@ -135,6 +181,57 @@ class _CellList:
         self.size = needed
 
 
+class _Shortlist:
+    """One query's running candidates while the scan visits its tiles.
+
+    Holds every ``(distance, id)`` pair that can still make the query's
+    top ``needed``.  Once ``needed`` pairs are held, a new pair farther
+    than the worst of them cannot, so it is dropped on arrival; ties
+    stay, because a later tile may carry a smaller id.  The held set is
+    cut back to ``needed`` by :func:`select_smallest` whenever it
+    reaches twice that, so memory is ``O(needed + tile)``.
+    """
+
+    __slots__ = ("needed", "dists", "ids", "held", "bound")
+
+    def __init__(self, needed: int) -> None:
+        self.needed = needed
+        self.dists: List[np.ndarray] = []
+        self.ids: List[np.ndarray] = []
+        self.held = 0
+        self.bound = None
+
+    def offer(self, dists: np.ndarray, ids: np.ndarray) -> None:
+        """Take one tile row; ``dists`` is scratch the next tile reuses."""
+        if self.bound is not None:
+            keep = np.flatnonzero(dists <= self.bound)
+            dists, ids = dists[keep], ids[keep]
+        elif self.held + dists.size < 2 * self.needed:
+            dists = dists.copy()  # kept past this call
+        self.dists.append(dists)
+        self.ids.append(ids)
+        self.held += dists.size
+        if self.held >= 2 * self.needed:
+            self._select()
+
+    def _select(self) -> None:
+        if len(self.dists) == 1:
+            dists, ids = self.dists[0], self.ids[0]
+        else:
+            dists = np.concatenate(self.dists)
+            ids = np.concatenate(self.ids)
+        keep = select_smallest(dists, self.needed, ids)
+        self.dists, self.ids = [dists[keep]], [ids[keep]]
+        self.held = keep.size
+        self.bound = self.dists[0][-1]
+
+    def result(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The top ``needed`` as ``(ids, distances)``, ascending."""
+        if len(self.dists) > 1 or self.bound is None:
+            self._select()
+        return self.ids[0], self.dists[0]
+
+
 class IVFIndex:
     """Inverted-file index over a coarse quantizer with PQ/binary cells.
 
@@ -145,7 +242,9 @@ class IVFIndex:
     Parameters
     ----------
     coarse:
-        Trained :class:`VectorQuantizer` whose codes are the cells.
+        Trained :class:`VectorQuantizer` whose codes are the cells; its
+        centroids are copied at construction.  ``None`` on an index
+        built by :meth:`flat`.
     encoder:
         :class:`ProductQuantizer` (residual ADC cells) or
         :class:`BinaryQuantizer` (raw Hamming cells).
@@ -168,14 +267,35 @@ class IVFIndex:
                 f"coarse must be a VectorQuantizer, got "
                 f"{type(coarse).__name__}"
             )
-        if not isinstance(encoder, (ProductQuantizer, BinaryQuantizer)):
-            raise TypeError(
-                f"encoder must be a ProductQuantizer or BinaryQuantizer, "
-                f"got {type(encoder).__name__}"
-            )
-        if encoder.dim != coarse.dim:
+        self.coarse: Optional[VectorQuantizer] = coarse
+        self._setup(np.array(coarse.codebook.data, dtype=np.float32),
+                    _check_encoder(encoder), metric, nprobe, query_block,
+                    store_embeddings)
+
+    @classmethod
+    def flat(cls, encoder: Encoder, *, metric: str = "l2",
+             query_block: int = 32,
+             store_embeddings: bool = False) -> "IVFIndex":
+        """Exhaustive index: one cell whose centroid is the origin.
+
+        Every query scans every item; results are exact for the codes
+        (Hamming for binary, ADC for PQ) and match a multi-cell index
+        probed at ``nprobe=num_cells`` over binary codes id for id.
+        """
+        encoder = _check_encoder(encoder)
+        index = cls.__new__(cls)
+        index.coarse = None
+        index._setup(np.zeros((1, encoder.dim), dtype=np.float32), encoder,
+                     metric, 1, query_block, store_embeddings)
+        return index
+
+    def _setup(self, centroids: np.ndarray, encoder: Encoder, metric: str,
+               nprobe: int, query_block: int,
+               store_embeddings: bool) -> None:
+        if encoder.dim != centroids.shape[1]:
             raise ValueError(
-                f"encoder dim {encoder.dim} != coarse dim {coarse.dim}"
+                f"encoder dim {encoder.dim} != coarse dim "
+                f"{centroids.shape[1]}"
             )
         if metric not in _METRICS:
             raise ValueError(
@@ -187,13 +307,14 @@ class IVFIndex:
                 "binary cells rank by Hamming distance; only metric='l2' "
                 "is supported (it also drives the rerank stage)"
             )
-        if not 1 <= nprobe <= coarse.num_codes:
+        num_cells = centroids.shape[0]
+        if not 1 <= nprobe <= num_cells:
             raise ValueError(
-                f"nprobe must be in [1, {coarse.num_codes}], got {nprobe}"
+                f"nprobe must be in [1, {num_cells}], got {nprobe}"
             )
         if query_block < 1:
             raise ValueError(f"query_block must be >= 1, got {query_block}")
-        self.coarse = coarse
+        self._centroids = centroids
         self.encoder = encoder
         self.metric = metric
         self.nprobe = int(nprobe)
@@ -205,10 +326,10 @@ class IVFIndex:
         self._lock = threading.Lock()
         self._cells: List[_CellList] = [
             _CellList(width, dtype, with_bias=not self._binary)
-            for _ in range(coarse.num_codes)
+            for _ in range(num_cells)
         ]
         self._size = 0
-        self._store = FloatStore(coarse.dim) if store_embeddings else None
+        self._store = FloatStore(encoder.dim) if store_embeddings else None
 
     # -- construction -------------------------------------------------------
 
@@ -282,11 +403,11 @@ class IVFIndex:
 
     @property
     def dim(self) -> int:
-        return self.coarse.dim
+        return self.encoder.dim
 
     @property
     def num_cells(self) -> int:
-        return self.coarse.num_codes
+        return self._centroids.shape[0]
 
     @property
     def store(self) -> Optional[FloatStore]:
@@ -314,12 +435,12 @@ class IVFIndex:
             )
         if embeddings.shape[0] == 0:
             raise ValueError("add() needs at least one embedding")
-        cells = _assign_cells(self.coarse.codebook.data, embeddings)
+        cells = _assign_cells(self._centroids, embeddings)
         if self._binary:
             codes = self.encoder.encode(embeddings)
             bias = None
         else:
-            centroids = self.coarse.codebook.data[cells].astype(np.float64)
+            centroids = self._centroids[cells].astype(np.float64)
             codes = self.encoder.encode(embeddings - centroids)
             bias = self._residual_bias(codes, centroids)
         order = np.argsort(cells, kind="stable")
@@ -417,7 +538,7 @@ class IVFIndex:
         Computed in float64 then cast, like the ADC tables, so probe
         order and the PQ coarse term never vary with blocking.
         """
-        centroids = self.coarse.codebook.data.astype(np.float64)
+        centroids = self._centroids.astype(np.float64)
         inner = queries @ centroids.T
         if self.metric == "l2":
             dists = (np.sum(queries ** 2, axis=1)[:, None]
@@ -427,25 +548,42 @@ class IVFIndex:
             dists = -inner
         return dists.astype(np.float32)
 
-    def _adc_tables(self, queries: np.ndarray) -> np.ndarray:
-        """``(Q, M * K)`` float32 residual tables ``-2 <q_m, e_mk>``
-        (``"ip"``: ``-<q_m, e_mk>``), flattened so a scan can gather all
-        subspaces at once via offset codes; cell-independent by
-        construction."""
+    def _query_operand(self, queries: np.ndarray) -> np.ndarray:
+        """Per-query scan operand, indexed by query on axis 0: packed
+        codes for binary cells, ``(Q, M, K)`` float32 residual tables
+        ``-2 <q_m, e_mk>`` (``"ip"``: ``-<q_m, e_mk>``) for PQ cells.
+
+        The tables are computed in float64 and cast, so a query's row
+        never depends on the other queries in its block.
+        """
         enc = self.encoder
-        tables = np.empty((enc.num_subspaces, queries.shape[0],
+        if self._binary:
+            return enc.encode(queries)
+        tables = np.empty((queries.shape[0], enc.num_subspaces,
                            enc.num_codes), dtype=np.float32)
         scale = -2.0 if self.metric == "l2" else -1.0
         for m, sub in enumerate(enc.quantizers):
             part = queries[:, m * enc.subdim:(m + 1) * enc.subdim]
             codebook = sub.codebook.data.astype(np.float64)
-            tables[m] = scale * (part @ codebook.T)
-        return np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
-            queries.shape[0], -1)
+            tables[:, m] = scale * (part @ codebook.T)
+        return tables
 
-    def _probe_order(self, coarse_row: np.ndarray) -> np.ndarray:
-        """Cells by ascending ``(coarse distance, cell id)``."""
-        return np.lexsort((np.arange(coarse_row.shape[0]), coarse_row))
+    def _probes(self, coarse: np.ndarray, sizes: np.ndarray, nprobe: int,
+                needed: int) -> np.ndarray:
+        """``(Q, num_cells)`` mask of the cells each query scans.
+
+        A query visits cells by ascending ``(coarse distance, cell id)``:
+        its ``nprobe`` nearest, widened until the visited cells hold at
+        least ``needed`` items, so the result width is always
+        ``min(k, len(index))``.
+        """
+        order = np.argsort(coarse, axis=1, kind="stable")
+        held = np.cumsum(sizes[order], axis=1)
+        count = np.maximum(nprobe, (held < needed).sum(axis=1) + 1)
+        probes = np.zeros(coarse.shape, dtype=bool)
+        ranks = np.arange(coarse.shape[1])[None, :]
+        np.put_along_axis(probes, order, ranks < count[:, None], axis=1)
+        return probes
 
     def _search(self, queries: np.ndarray, k: int,
                 nprobe: Optional[int], rerank: Optional[int]
@@ -458,117 +596,65 @@ class IVFIndex:
             cells = [(c.codes, c.ids, c.bias, c.size) for c in self._cells]
         if size == 0:
             raise ValueError("search on an empty IVFIndex; add() items first")
-        shortlist_k = rerank if rerank is not None else k
-        needed = min(shortlist_k, size)
+        needed = min(rerank if rerank is not None else k, size)
 
         started = time.perf_counter()
-        coarse = self._coarse_distances(queries)
-        if self._binary:
-            query_codes = self.encoder.encode(queries)
-            dist_dtype = hamming_dtype(self.encoder.words)
-        else:
-            dist_dtype = np.dtype(np.float32)
-
-        out_ids = np.empty((queries.shape[0], needed), dtype=np.int64)
-        out_dists = np.empty((queries.shape[0], needed), dtype=dist_dtype)
-        cells_probed = 0
-        if not self._binary:
-            offsets = (np.arange(self.encoder.num_subspaces)
-                       * self.encoder.num_codes).astype(np.int32)
-            table_width = (self.encoder.num_subspaces
-                           * self.encoder.num_codes)
-        qb = self.query_block
-        for qstart in range(0, queries.shape[0], qb):
-            block = queries[qstart:qstart + qb]
-            nq = block.shape[0]
-            tables = None if self._binary else self._adc_tables(block)
-            # Per-query probe selection stays a Python loop (it is tiny);
-            # the distance math below batches every probed candidate in
-            # the block into single vectorized passes.
-            code_parts: List[np.ndarray] = []
-            id_parts: List[np.ndarray] = []
-            base_parts: List[np.ndarray] = []
-            seg_lens = np.empty(nq, dtype=np.int64)
-            part_counts = np.empty(nq, dtype=np.int64)
-            for qi in range(nq):
-                q = qstart + qi
-                order = self._probe_order(coarse[q])
-                total = 0
-                parts_before = len(id_parts)
-                for pos, cell in enumerate(order):
-                    # Widen past nprobe until enough candidates exist so
-                    # the result width is always min(k, len(index)).
-                    if pos >= nprobe and total >= needed:
-                        break
-                    codes, ids, bias, cell_size = cells[cell]
-                    cells_probed += 1
-                    if cell_size == 0:
-                        continue
-                    code_parts.append(codes[:cell_size])
-                    id_parts.append(ids[:cell_size])
-                    if not self._binary:
-                        base_parts.append(bias[:cell_size] + coarse[q, cell])
-                    total += cell_size
-                seg_lens[qi] = total
-                part_counts[qi] = len(id_parts) - parts_before
-            # Group queries so one batch never exceeds ~_SCAN_ROW_BUDGET
-            # candidate rows: scratch stays bounded even at full probe,
-            # and per-row arithmetic is grouping-invariant.
-            part_bounds = np.cumsum(part_counts)
-            group_edges = [0]
-            rows_in_group = 0
-            for qi in range(nq):
-                if rows_in_group and (rows_in_group + seg_lens[qi]
-                                      > _SCAN_ROW_BUDGET):
-                    group_edges.append(qi)
-                    rows_in_group = 0
-                rows_in_group += seg_lens[qi]
-            group_edges.append(nq)
-            for q_lo, q_hi in zip(group_edges[:-1], group_edges[1:]):
-                p_lo = 0 if q_lo == 0 else int(part_bounds[q_lo - 1])
-                p_hi = int(part_bounds[q_hi - 1])
-                cand_codes = np.concatenate(code_parts[p_lo:p_hi])
-                cand_ids = np.concatenate(id_parts[p_lo:p_hi])
-                lens = seg_lens[q_lo:q_hi]
-                qid = np.repeat(np.arange(q_hi - q_lo, dtype=np.int32),
-                                lens)
-                if self._binary:
-                    cand_dists = packed_hamming(
-                        query_codes[qstart + q_lo + qid], cand_codes)
-                else:
-                    # Fixed arithmetic: float32 (bias + coarse term) plus
-                    # an in-order float32 sum of the M gathered table
-                    # entries, identical per row however queries are
-                    # grouped or blocked.
-                    flat = cand_codes.astype(np.int32)
-                    flat += offsets
-                    flat += ((q_lo + qid) * table_width)[:, None]
-                    gathered = tables.reshape(-1)[flat]
-                    cand_dists = np.concatenate(base_parts[p_lo:p_hi])
-                    cand_dists += np.einsum("ij->i", gathered)
-                seg_starts = np.cumsum(lens) - lens
-                for gq in range(q_hi - q_lo):
-                    s = int(seg_starts[gq])
-                    e = s + int(lens[gq])
-                    d_seg = cand_dists[s:e]
-                    i_seg = cand_ids[s:e]
-                    sel = _segment_topk(d_seg, i_seg, needed)
-                    out_ids[qstart + q_lo + gq] = i_seg[sel]
-                    out_dists[qstart + q_lo + gq] = d_seg[sel]
-        scan_s = time.perf_counter() - started
-
+        ids, dists, cells_probed = self._scan(queries, cells, nprobe, needed)
         stats: Dict[str, float] = {
-            "scan_s": scan_s,
+            "scan_s": time.perf_counter() - started,
             "rerank_s": 0.0,
             "shortlist": float(needed),
             "cells_probed": float(cells_probed),
         }
         if rerank is None:
-            return out_ids, out_dists, stats
+            return ids, dists, stats
         started = time.perf_counter()
-        ids, dists = rerank_exact(self._store,
-                                  queries.astype(np.float32), out_ids, k,
-                                  metric=self.metric,
+        ids, dists = rerank_exact(self._store, queries.astype(np.float32),
+                                  ids, k, metric=self.metric,
                                   query_block=self.query_block)
         stats["rerank_s"] = time.perf_counter() - started
         return ids, dists, stats
+
+    def _scan(self, queries: np.ndarray, cells: list, nprobe: int,
+              needed: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Top-``needed`` codes per query over its probed cells."""
+        sizes = np.array([cell[3] for cell in cells], dtype=np.int64)
+        coarse = self._coarse_distances(queries)
+        budget = _SCAN_PAIR_BUDGET
+        block = min(self.query_block, queries.shape[0])
+        largest = int(sizes.max())
+        # A tile holds max(1, budget // nq) rows of one cell for the nq
+        # queries probing it, so this bounds every tile.
+        pairs = min(max(budget, block), block * largest)
+        if self._binary:
+            tile = _hamming_tiles(self.encoder.words, pairs)
+            dtype = hamming_dtype(self.encoder.words)
+        else:
+            tile = _adc_kernel(pairs, min(pairs, largest))
+            dtype = np.dtype(np.float32)
+
+        out_ids = np.empty((queries.shape[0], needed), dtype=np.int64)
+        out_dists = np.empty((queries.shape[0], needed), dtype=dtype)
+        cells_probed = 0
+        for qstart in range(0, queries.shape[0], block):
+            operand = self._query_operand(queries[qstart:qstart + block])
+            block_coarse = coarse[qstart:qstart + block]
+            probes = self._probes(block_coarse, sizes, nprobe, needed)
+            cells_probed += int(probes.sum())
+            shortlists = [_Shortlist(needed) for _ in range(len(operand))]
+            for cell in np.flatnonzero(probes.any(axis=0)):
+                codes, ids, bias, size = cells[cell]
+                chosen = np.flatnonzero(probes[:, cell])
+                chosen_operand = operand[chosen]
+                chosen_coarse = block_coarse[chosen, cell]
+                rows = max(1, budget // chosen.size)
+                for start in range(0, size, rows):
+                    span = slice(start, min(size, start + rows))
+                    dists = tile(chosen_operand, chosen_coarse, codes, bias,
+                                 span)
+                    for q, row in zip(chosen, dists):
+                        shortlists[q].offer(row, ids[span])
+            for q, shortlist in enumerate(shortlists):
+                out_ids[qstart + q], out_dists[qstart + q] = \
+                    shortlist.result()
+        return out_ids, out_dists, cells_probed

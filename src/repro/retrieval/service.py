@@ -2,7 +2,8 @@
 
 :class:`RetrievalService` composes an
 :class:`~repro.serving.EmbeddingService` (registry-resolved model,
-request micro-batching) with one of this package's quantized indexes.
+request micro-batching) with a quantized
+:class:`~repro.retrieval.IVFIndex`.
 ``add()`` embeds raw samples and stores their codes; ``search()`` embeds
 raw queries and runs quantized top-k — the full production path the
 ROADMAP's million-item workload describes.
@@ -22,24 +23,26 @@ same way via ``ModelVersion.is_stale()``.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..serving.service import EmbeddingService
-from .binary import BinaryIndex
 from .ivf import IVFIndex
-from .pq import PQIndex
 from .trainer import l2_normalize
 
 __all__ = ["RetrievalService", "StaleIndexError"]
 
-Index = Union[BinaryIndex, PQIndex, IVFIndex]
-_INDEX_TYPES = (BinaryIndex, PQIndex, IVFIndex)
-
 
 class StaleIndexError(RuntimeError):
     """The index was built against a different model than is now served."""
+
+
+def _check_index(index: IVFIndex) -> None:
+    if not isinstance(index, IVFIndex):
+        raise TypeError(
+            f"index must be an IVFIndex, got {type(index).__name__}"
+        )
 
 
 class RetrievalService:
@@ -51,25 +54,20 @@ class RetrievalService:
         A (started or startable) :class:`EmbeddingService`; its registry
         and model name define the embedding space.
     index:
-        A :class:`BinaryIndex`, :class:`PQIndex`, or :class:`IVFIndex`
-        receiving the codes.
+        The :class:`IVFIndex` receiving the codes (flat or partitioned).
     normalize:
         L2-normalize embeddings before indexing/searching (the paper's
         embeddings are unit-norm; quantizer thresholds assume it).
     """
 
-    def __init__(self, embedder: EmbeddingService, index: Index, *,
+    def __init__(self, embedder: EmbeddingService, index: IVFIndex, *,
                  normalize: bool = True) -> None:
         if not isinstance(embedder, EmbeddingService):
             raise TypeError(
                 f"embedder must be an EmbeddingService, got "
                 f"{type(embedder).__name__}"
             )
-        if not isinstance(index, _INDEX_TYPES):
-            raise TypeError(
-                f"index must be a BinaryIndex, PQIndex, or IVFIndex, got "
-                f"{type(index).__name__}"
-            )
+        _check_index(index)
         self.embedder = embedder
         self.normalize = bool(normalize)
         # RLock: swap_index() may be called from a callback that already
@@ -108,7 +106,7 @@ class RetrievalService:
     # -- introspection -----------------------------------------------------
 
     @property
-    def index(self) -> Index:
+    def index(self) -> IVFIndex:
         with self._lock:
             return self._index
 
@@ -183,27 +181,17 @@ class RetrievalService:
         self._m_adds.inc(len(ids))
         return ids
 
-    def _run_search(self, index: Index, queries: np.ndarray, k: int,
+    def _run_search(self, index: IVFIndex, queries: np.ndarray, k: int,
                     nprobe: Optional[int], rerank: Optional[int]
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dispatch to the index's instrumented search and record stats."""
-        kwargs = {}
-        if rerank is not None:
-            kwargs["rerank"] = rerank
-        if nprobe is not None:
-            if not isinstance(index, IVFIndex):
-                raise ValueError(
-                    f"nprobe only applies to an IVFIndex; the service "
-                    f"holds a {type(index).__name__}"
-                )
-            kwargs["nprobe"] = nprobe
-        ids, dists, stats = index.search_stats(queries, k, **kwargs)
+        """Run the index's instrumented search and record its stats."""
+        ids, dists, stats = index.search_stats(queries, k, nprobe=nprobe,
+                                               rerank=rerank)
         self._h_scan.observe(stats["scan_s"])
         self._h_shortlist.observe(stats["shortlist"])
         if rerank is not None:
             self._h_rerank.observe(stats["rerank_s"])
-        if "cells_probed" in stats:
-            self._m_cells.inc(int(stats["cells_probed"]))
+        self._m_cells.inc(int(stats["cells_probed"]))
         return ids, dists
 
     def search(self, samples: Sequence[np.ndarray], k: int = 10,
@@ -213,11 +201,11 @@ class RetrievalService:
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Embed raw queries and return quantized top-k ``(ids, distances)``.
 
-        ``nprobe`` overrides an :class:`IVFIndex`'s probe width for this
-        call (rejected for exhaustive indexes); ``rerank=R`` re-scores
-        the top-``R`` shortlist exactly when the index retains a float
-        store.  Scan/rerank latency, shortlist width, and cells probed
-        land in the ``retrieval.*`` metrics.
+        ``nprobe`` overrides the index's probe width for this call (the
+        index rejects values outside ``[1, num_cells]``); ``rerank=R``
+        re-scores the top-``R`` shortlist exactly when the index retains a
+        float store.  Scan/rerank latency, shortlist width, and cells
+        probed land in the ``retrieval.*`` metrics.
         """
         if len(samples) == 0:
             raise ValueError("search() needs at least one query sample")
@@ -255,18 +243,14 @@ class RetrievalService:
 
     # -- maintenance -------------------------------------------------------
 
-    def swap_index(self, index: Index,
-                   model_key: Optional[Tuple[str, int]] = None) -> Index:
+    def swap_index(self, index: IVFIndex,
+                   model_key: Optional[Tuple[str, int]] = None) -> IVFIndex:
         """Install a rebuilt index; returns the replaced one.
 
         ``model_key`` pins the new index to a specific published version;
         omit it to re-bind on the next ``add()``.
         """
-        if not isinstance(index, _INDEX_TYPES):
-            raise TypeError(
-                f"index must be a BinaryIndex, PQIndex, or IVFIndex, got "
-                f"{type(index).__name__}"
-            )
+        _check_index(index)
         with self._lock:
             previous = self._index
             self._index = index

@@ -10,11 +10,14 @@ PAPERS.md "Contrastive Quantization with Code Memory"):
   random batch vector so the codebook never strands capacity.  All
   randomness flows through an explicit ``rng`` argument, so training is
   reproducible under :func:`repro.nn.rng.derive_rng` seeding and
-  checkpoint resume is bit-exact.
+  checkpoint resume is bit-exact.  It is also the coarse quantizer of
+  :class:`repro.retrieval.IVFIndex` and needs at least two codes; the
+  one-cell index is :meth:`repro.retrieval.IVFIndex.flat`, whose only
+  centroid is the origin.
 - :class:`ProductQuantizer` — ``num_subspaces`` independent codebooks
   over equal coordinate slices; ``encode`` yields compact per-subspace
-  code ids, the operand of :class:`repro.retrieval.PQIndex`'s
-  asymmetric-distance search.
+  code ids, the operand of :class:`repro.retrieval.IVFIndex`'s
+  asymmetric-distance (ADC) scan.
 - :class:`CodeMemory` — FIFO buffer of quantized reconstructions used as
   extra contrastive negatives by :class:`repro.retrieval.VQTrainer`,
   decoupling the negative count from the batch size (the "code memory"

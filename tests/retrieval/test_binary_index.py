@@ -1,14 +1,17 @@
-"""Unit tests for BinaryQuantizer/BinaryIndex beyond the property suite."""
+"""Unit tests for BinaryQuantizer and the flat binary index
+(``IVFIndex.flat`` over packed codes) beyond the property suite."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.retrieval.binary as binary_module
+import repro.retrieval.ivf as ivf_module
 from repro.retrieval import (
-    BinaryIndex,
     BinaryQuantizer,
+    IVFIndex,
     exact_search,
     hamming_dtype,
     l2_normalize,
@@ -16,11 +19,21 @@ from repro.retrieval import (
     topk_smallest,
 )
 
+#: Both popcount paths: np.bitwise_count (numpy >= 2.0) and the 8-bit
+#: lookup table the scan falls back to on older numpy.
+POPCOUNT_PATHS = [
+    pytest.param(True, id="bitwise_count",
+                 marks=pytest.mark.skipif(
+                     not hasattr(np, "bitwise_count"),
+                     reason="np.bitwise_count needs numpy >= 2.0")),
+    pytest.param(False, id="lut"),
+]
+
 
 def make_index(rng, n=100, dim=24, **kwargs):
     items = l2_normalize(rng.normal(size=(n, dim)))
     quantizer = BinaryQuantizer.fit_median(items)
-    index = BinaryIndex(quantizer, **kwargs)
+    index = IVFIndex.flat(quantizer, **kwargs)
     index.add(items)
     return index, items
 
@@ -69,15 +82,15 @@ class TestBinaryIndex:
 
     def test_query_block_invariant(self, rng):
         index, items = make_index(rng, n=60, query_block=7)
-        reference = BinaryIndex(index.quantizer, query_block=1000)
-        reference.add_codes(index.codes())
+        reference = IVFIndex.flat(index.encoder, query_block=1000)
+        reference.add(items)
         queries = l2_normalize(rng.normal(size=(23, 24)))
         ids_a, d_a = index.search(queries, k=9)
         ids_b, d_b = reference.search(queries, k=9)
         assert (ids_a == ids_b).all() and (d_a == d_b).all()
 
     def test_empty_index_raises(self, rng):
-        index = BinaryIndex(BinaryQuantizer.sign(8))
+        index = IVFIndex.flat(BinaryQuantizer.sign(8))
         with pytest.raises(ValueError, match="empty"):
             index.search(rng.normal(size=(1, 8)), k=1)
 
@@ -86,11 +99,11 @@ class TestBinaryIndex:
         with pytest.raises(ValueError):
             index.search(rng.normal(size=(2, 25)), k=1)
         with pytest.raises(ValueError):
-            index.add_codes(np.zeros((2, 9), dtype=np.uint64))
+            index.add(rng.normal(size=(2, 25)))
 
     def test_requires_binary_quantizer(self):
         with pytest.raises(TypeError):
-            BinaryIndex(object())
+            IVFIndex.flat(object())
 
     def test_concurrent_add_and_search(self, rng):
         index, items = make_index(rng, n=200)
@@ -132,17 +145,18 @@ class TestScanScratchReuse:
     """ISSUE 10 satellite 6: the scratch-reusing scan must be
     byte-identical to the naive full-matrix path on both popcounts."""
 
-    def _reference(self, index, queries, k):
-        query_codes = index.quantizer.encode(queries)
-        dists = packed_hamming(query_codes[:, None], index.codes())
+    def _reference(self, index, items, queries, k):
+        query_codes = index.encoder.encode(queries)
+        dists = packed_hamming(query_codes[:, None],
+                               index.encoder.encode(items))
         cols, top = topk_smallest(dists, k)
         return cols.astype(np.int64), top
 
     def test_byte_identity_against_full_matrix(self, rng):
-        index, _ = make_index(rng, n=300, query_block=6)
+        index, items = make_index(rng, n=300, query_block=6)
         queries = l2_normalize(rng.normal(size=(19, 24)))
         ids, dists = index.search(queries, k=8)
-        ref_ids, ref_d = self._reference(index, queries, 8)
+        ref_ids, ref_d = self._reference(index, items, queries, 8)
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(dists, ref_d)
         assert dists.dtype == ref_d.dtype
@@ -151,7 +165,7 @@ class TestScanScratchReuse:
         index, items = make_index(rng, n=40)
         _, dists = index.search(items[:3], k=4)
         assert dists.dtype == np.uint16
-        assert hamming_dtype(index.quantizer.words) == np.uint16
+        assert hamming_dtype(index.encoder.words) == np.uint16
         # 2000 words * 64 bits overflows uint16 -> widen to int64.
         assert hamming_dtype(2000) == np.int64
 
@@ -166,11 +180,41 @@ class TestScanScratchReuse:
         assert slow_d.dtype == fast_d.dtype
 
 
+class TestBoundedScan:
+    @pytest.mark.parametrize("bitwise_count", POPCOUNT_PATHS)
+    def test_peak_allocation_is_block_bounded(self, rng, monkeypatch,
+                                              bitwise_count):
+        # Same shape as the flat PQ test: a dense (16, N) scan would
+        # hold a 3.8 MB XOR buffer here; a 16 x 4096 pair budget keeps
+        # every scratch buffer tile-sized on either popcount path.
+        monkeypatch.setattr(binary_module, "_HAS_BITWISE_COUNT",
+                            bitwise_count)
+        monkeypatch.setattr(ivf_module, "_SCAN_PAIR_BUDGET", 16 * 4096)
+        index, _ = make_index(rng, n=30_000, query_block=16)
+        queries = l2_normalize(rng.normal(size=(16, 24)))
+        index.search(queries, k=10)  # warm any lazy imports/caches
+        tracemalloc.start()
+        index.search(queries, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1_500_000, f"scan peak {peak} bytes; not block-bounded"
+
+    def test_pair_budget_invariant(self, rng, monkeypatch):
+        index, _ = make_index(rng, n=500)
+        queries = l2_normalize(rng.normal(size=(11, 24)))
+        expected = index.search(queries, k=30)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(ivf_module, "_SCAN_PAIR_BUDGET", budget)
+            got = index.search(queries, k=30)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+
 class TestBinaryRerank:
     def test_full_corpus_rerank_matches_float_oracle(self, rng):
         items = l2_normalize(rng.normal(size=(120, 24)))
         quantizer = BinaryQuantizer.fit_median(items)
-        index = BinaryIndex(quantizer, store_embeddings=True)
+        index = IVFIndex.flat(quantizer, store_embeddings=True)
         index.add(items)
         queries = l2_normalize(rng.normal(size=(7, 24)))
         ids, dists = index.search(queries, k=5, rerank=items.shape[0])
@@ -181,7 +225,7 @@ class TestBinaryRerank:
     def test_rerank_recall_monotone_in_shortlist(self, rng):
         items = l2_normalize(rng.normal(size=(200, 24)))
         quantizer = BinaryQuantizer.fit_median(items)
-        index = BinaryIndex(quantizer, store_embeddings=True)
+        index = IVFIndex.flat(quantizer, store_embeddings=True)
         index.add(items)
         queries = l2_normalize(rng.normal(size=(11, 24)))
         oracle_ids, _ = exact_search(queries, items, 5)
@@ -197,7 +241,7 @@ class TestBinaryRerank:
     def test_search_stats_and_validation(self, rng):
         items = l2_normalize(rng.normal(size=(60, 24)))
         quantizer = BinaryQuantizer.fit_median(items)
-        index = BinaryIndex(quantizer, store_embeddings=True)
+        index = IVFIndex.flat(quantizer, store_embeddings=True)
         index.add(items)
         queries = l2_normalize(rng.normal(size=(2, 24)))
         _, _, stats = index.search_stats(queries, k=2, rerank=10)
@@ -205,9 +249,7 @@ class TestBinaryRerank:
         assert stats["shortlist"] == 10.0
         with pytest.raises(ValueError, match=">= k"):
             index.search(queries, k=10, rerank=3)
-        with pytest.raises(ValueError, match="add_codes"):
-            index.add_codes(quantizer.encode(items[:2]))
-        plain = BinaryIndex(quantizer)
+        plain = IVFIndex.flat(quantizer)
         plain.add(items)
         with pytest.raises(ValueError, match="store_embeddings"):
             plain.search(queries, k=2, rerank=10)

@@ -1,13 +1,14 @@
 """IVFIndex: cell partitioning must never change what a full probe returns.
 
-The load-bearing properties (ISSUE 10 satellite 3):
+The load-bearing properties:
 
 - ``nprobe=num_cells`` with binary cells is **id-for-id identical** to
-  an exhaustive :class:`BinaryIndex` over the same data — Hamming
+  the flat index (``IVFIndex.flat``) over the same data — Hamming
   distances ignore the partition entirely.
 - ``nprobe=num_cells`` with residual-PQ cells is byte-identical to a
-  flat scan applying the same ADC arithmetic (coarse term + per-item
-  bias + the pairwise sum of gathered table entries).
+  flat scan applying the same ADC arithmetic (float32 coarse term +
+  per-item bias, then the gathered table entries added in subspace
+  order).
 - Rerank recall is monotone non-decreasing in the shortlist width.
 - Concurrent ``add()``/``search()`` stays consistent (run under
   ``REPRO_SANITIZE=1`` in CI to check the locking).
@@ -18,9 +19,10 @@ import threading
 import numpy as np
 import pytest
 
+import repro.retrieval.binary as binary_module
+import repro.retrieval.ivf as ivf_module
 from repro.nn.rng import derive_rng
 from repro.retrieval import (
-    BinaryIndex,
     BinaryQuantizer,
     IVFIndex,
     ProductQuantizer,
@@ -29,6 +31,8 @@ from repro.retrieval import (
     l2_normalize,
 )
 from repro.retrieval.ivf import _assign_cells
+
+from .test_binary_index import POPCOUNT_PATHS
 
 DIM = 16
 
@@ -56,11 +60,15 @@ def recall(ids, oracle_ids):
 
 
 class TestFullProbeIdentity:
-    def test_binary_full_probe_matches_exhaustive_index(self, rng):
+    @pytest.mark.parametrize("bitwise_count", POPCOUNT_PATHS)
+    def test_binary_full_probe_matches_exhaustive_index(
+            self, rng, monkeypatch, bitwise_count):
+        monkeypatch.setattr(binary_module, "_HAS_BITWISE_COUNT",
+                            bitwise_count)
         corpus = make_corpus(rng)
         ivf = fit_binary_ivf(corpus)
         ivf.add(corpus)
-        flat = BinaryIndex(ivf.encoder)
+        flat = IVFIndex.flat(ivf.encoder)
         flat.add(corpus)
         queries = l2_normalize(rng.normal(size=(9, DIM)))
         ivf_ids, ivf_d = ivf.search(queries, k=12, nprobe=ivf.num_cells)
@@ -77,9 +85,9 @@ class TestFullProbeIdentity:
         ids, dists = ivf.search(queries, k=9, nprobe=ivf.num_cells)
 
         # Flat reference reproducing the index's exact arithmetic:
-        # float32 bias + float32 coarse term, plus the same einsum
-        # float32 sum of the M gathered table entries, ranked by
-        # (distance, id).
+        # float32 bias + float32 coarse term, then each of the M
+        # gathered table entries added in subspace order (float32),
+        # ranked by (distance, id).
         cells = _assign_cells(ivf.coarse.codebook.data, corpus)
         centroids = ivf.coarse.codebook.data[cells].astype(np.float64)
         codes = ivf.encoder.encode(corpus - centroids)
@@ -93,28 +101,25 @@ class TestFullProbeIdentity:
                   ).astype(np.float32)
         sub = ivf.encoder.subdim
         for qi, query in enumerate(queries):
-            gathered = np.empty(codes.shape, dtype=np.float32)
+            flat = bias + coarse[qi, cells]
             for m, q_sub in enumerate(ivf.encoder.quantizers):
                 table = -2.0 * (query[m * sub:(m + 1) * sub]
                                 @ q_sub.codebook.data.astype(np.float64).T)
-                gathered[:, m] = table.astype(np.float32)[codes[:, m]]
-            flat = (bias + coarse[qi, cells]) + np.einsum("ij->i", gathered)
+                flat = flat + table.astype(np.float32)[codes[:, m]]
             order = np.lexsort((np.arange(corpus.shape[0]), flat))[:9]
             np.testing.assert_array_equal(ids[qi], order)
             np.testing.assert_array_equal(dists[qi], flat[order])
 
     def test_scan_grouping_and_query_block_invariant(self, rng, monkeypatch):
-        # The batched distance pass groups queries under a candidate-row
-        # budget; per-row arithmetic must not depend on the grouping or
-        # the query block.
-        import repro.retrieval.ivf as ivf_module
-
+        # The scan tiles each cell under a (query, row) pair budget;
+        # per-pair arithmetic must not depend on the tiling or the
+        # query block.
         corpus = make_corpus(rng)
         ivf = fit_pq_ivf(corpus)
         ivf.add(corpus)
         queries = l2_normalize(rng.normal(size=(10, DIM)))
         ids_a, d_a = ivf.search(queries, k=8, nprobe=3)
-        monkeypatch.setattr(ivf_module, "_SCAN_ROW_BUDGET", 1)
+        monkeypatch.setattr(ivf_module, "_SCAN_PAIR_BUDGET", 1)
         ivf.query_block = 2
         ids_b, d_b = ivf.search(queries, k=8, nprobe=3)
         np.testing.assert_array_equal(ids_a, ids_b)

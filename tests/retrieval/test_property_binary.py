@@ -5,23 +5,30 @@ The four pinned invariants from ISSUE 7:
 1. pack/unpack round-trip identity for arbitrary bit widths;
 2. ``Hamming(a, b) == popcount(pack(a) ^ pack(b))``;
 3. the Hamming triangle inequality on packed codes;
-4. ``BinaryIndex`` top-k agreeing with a brute-force ``np.unpackbits``
-   oracle (same ascending ``(distance, id)`` order).
+4. the flat binary index's top-k agreeing with a brute-force
+   ``np.unpackbits`` oracle (same ascending ``(distance, id)`` order) on
+   both popcount paths.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.retrieval.binary as binary_module
 from repro.retrieval import (
-    BinaryIndex,
     BinaryQuantizer,
+    IVFIndex,
     pack_bits,
     packed_hamming,
     packed_words,
     unpack_bits,
 )
+
+from .test_binary_index import POPCOUNT_PATHS
 
 # Dims straddling the word boundaries (1..200 covers 1, 63..65, 127..129).
 dims = st.integers(min_value=1, max_value=200)
@@ -71,6 +78,7 @@ def test_hamming_metric_axioms(triple):
     assert dab <= dac + dcb
 
 
+@pytest.mark.parametrize("bitwise_count", POPCOUNT_PATHS)
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 120),
@@ -79,18 +87,21 @@ def test_hamming_metric_axioms(triple):
     st.integers(1, 12),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_topk_matches_unpackbits_oracle(dim, n_items, n_queries, k, seed):
+def test_topk_matches_unpackbits_oracle(bitwise_count, dim, n_items,
+                                        n_queries, k, seed):
     """Index top-k == brute force over np.unpackbits, id for id."""
     rng = np.random.default_rng(seed)
     items = rng.normal(size=(n_items, dim))
     queries = rng.normal(size=(n_queries, dim))
     quantizer = BinaryQuantizer.fit_median(items)
-    index = BinaryIndex(quantizer, query_block=3)
+    index = IVFIndex.flat(quantizer, query_block=3)
     index.add(items)
-    ids, dists = index.search(queries, k=k)
+    with mock.patch.object(binary_module, "_HAS_BITWISE_COUNT",
+                           bitwise_count):
+        ids, dists = index.search(queries, k=k)
 
-    # Oracle: unpack the stored words with np.unpackbits and scan.
-    words = index.codes()
+    # Oracle: unpack the packed words with np.unpackbits and scan.
+    words = quantizer.encode(items)
     item_bits = np.unpackbits(
         words.astype("<u8").view(np.uint8).reshape(n_items, -1),
         axis=1, bitorder="little")[:, :dim]

@@ -12,10 +12,8 @@ import pytest
 
 from repro import nn
 from repro.retrieval import (
-    BinaryIndex,
     IVFIndex,
     BinaryQuantizer,
-    PQIndex,
     ProductQuantizer,
     RetrievalService,
     StaleIndexError,
@@ -38,7 +36,7 @@ def make_service(reg=None, index=None, **embed_kwargs):
     embed_kwargs.setdefault("max_wait_ms", 0.5)
     embedder = EmbeddingService(reg, "enc", **embed_kwargs)
     if index is None:
-        index = BinaryIndex(BinaryQuantizer.sign(EMB_DIM))
+        index = IVFIndex.flat(BinaryQuantizer.sign(EMB_DIM))
     return RetrievalService(embedder, index), reg
 
 
@@ -70,7 +68,7 @@ class TestEndToEnd:
         ])
         pq = ProductQuantizer(EMB_DIM, 2, 8, rng=np.random.default_rng(1))
         pq.fit(corpus, epochs=2, batch_size=30, seed=2)
-        svc, _ = make_service(reg, index=PQIndex(pq))
+        svc, _ = make_service(reg, index=IVFIndex.flat(pq))
         with svc:
             query_items = samples(rng, 25)
             svc.add(query_items)
@@ -116,7 +114,7 @@ class TestFaults:
                 return self.inner(x)
 
         reg.publish("enc", SwapDuringForward())
-        index = BinaryIndex(BinaryQuantizer.sign(EMB_DIM))
+        index = IVFIndex.flat(BinaryQuantizer.sign(EMB_DIM))
         index.add(l2_normalize(rng.normal(size=(5, EMB_DIM))))
         svc, _ = make_service(reg, index=index)
         # Bind to the version serving right now, as a rebuild would.
@@ -167,7 +165,7 @@ class TestFaults:
             svc.add(samples(rng, 6))
             reg.publish("enc", nn.Linear(IN_DIM, EMB_DIM,
                                          rng=np.random.default_rng(3)))
-            fresh = BinaryIndex(BinaryQuantizer.sign(EMB_DIM))
+            fresh = IVFIndex.flat(BinaryQuantizer.sign(EMB_DIM))
             old = svc.swap_index(fresh)
             assert len(old) == 6 and svc.model_key is None
             svc.add(samples(rng, 6))  # re-binds to version 2
@@ -282,3 +280,48 @@ class TestIVFPlumbing:
         ivf.add(corpus)
         ids, _ = svc.search_embeddings(corpus[:2], k=3, nprobe=2)
         assert ids.shape == (2, 3)
+
+
+class TestSearchStatsContract:
+    """What the repository benchmark relies on: the service reaches the
+    index only through ``index.search_stats`` (so a wrapper installed on
+    the instance sees every search), once per call, and the stats carry
+    the scan/rerank split, the shortlist width and the cells probed."""
+
+    STATS_KEYS = {"scan_s", "rerank_s", "shortlist", "cells_probed"}
+
+    def _indexes(self, corpus):
+        flat = IVFIndex.flat(BinaryQuantizer.fit_median(corpus),
+                             store_embeddings=True)
+        cells = IVFIndex.fit_binary(corpus, num_cells=4, nprobe=2,
+                                    epochs=2, seed=8,
+                                    store_embeddings=True)
+        return {"flat": flat, "cells": cells}
+
+    @pytest.mark.parametrize("kind", ["flat", "cells"])
+    def test_wrapper_on_instance_called_once_per_search(self, rng, kind):
+        corpus = l2_normalize(rng.normal(size=(60, EMB_DIM)))
+        index = self._indexes(corpus)[kind]
+        index.add(corpus)
+        svc, _ = make_service(index=index)
+        seen = []
+        original = index.search_stats
+
+        def search_stats(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen.append(result[2])
+            return result
+
+        index.search_stats = search_stats
+        queries = corpus[:3]
+        for kwargs in ({}, {"rerank": 20},
+                       {"nprobe": index.num_cells, "rerank": 20}):
+            before = len(seen)
+            ids, _ = svc.search_embeddings(queries, k=5, **kwargs)
+            assert len(seen) == before + 1
+            assert ids.shape == (3, 5)
+            stats = seen[-1]
+            assert self.STATS_KEYS <= set(stats)
+            assert stats["scan_s"] >= 0.0 and stats["rerank_s"] >= 0.0
+            assert stats["shortlist"] == kwargs.get("rerank", 5)
+            assert stats["cells_probed"] >= queries.shape[0]

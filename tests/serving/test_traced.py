@@ -91,3 +91,34 @@ def test_eager_engine_mode_serves_without_plans(rng):
     assert out.shape == (3,)
     assert stats == {"plan_hits": 0, "plan_misses": 0,
                      "retraces": 0, "fallbacks": 0}
+
+
+def test_converted_model_is_never_replayed_stale(rng):
+    # Integer kernels compute off the autograd tape, so a plan would
+    # record their outputs as constants and replay the traced input's
+    # embedding for every request.  The trace must fail instead, and the
+    # default engine must serve these models eagerly.
+    from repro.models import resnet18
+    from repro.quant import calibrate, convert, prepare
+
+    model = resnet18(width_multiplier=1 / 16, rng=np.random.default_rng(0))
+    prepare(model)
+    calibrate(model, [rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
+                      for _ in range(2)], bits=8)
+    convert(model, input_shape=(2, 3, 16, 16))
+    xs = [rng.normal(size=(3, 16, 16)) for _ in range(4)]
+    xs += xs[:2]  # repeats would be plan hits if the trace succeeded
+    outs = {}
+    for mode in ("trace", "eager"):
+        reg = ModelRegistry()
+        reg.publish("int-enc", model)
+        with EmbeddingService(reg, "int-enc", max_wait_ms=0.5,
+                              engine=mode) as svc:
+            outs[mode] = [svc.embed(x) for x in xs]
+            if mode == "trace":
+                counters = engine_counters(svc, "int-enc")
+    assert counters["fallbacks"] >= 1
+    assert counters["plan_hits"] == 0
+    assert len({out.tobytes() for out in outs["eager"]}) == 4
+    for traced, eager in zip(outs["trace"], outs["eager"]):
+        assert traced.tobytes() == eager.tobytes()
