@@ -32,7 +32,6 @@ import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..nn._ops import conv as _conv
 from ..nn._ops import elementwise as _ew
@@ -577,45 +576,20 @@ def _quantize_into(a, buf, bits):
 
 def _build_conv_forward(record, index, slots, fetchers, buf):
     ctx = record.ctx
-    sh_, sw = ctx.stride
-    ph, pw = ctx.padding
-    groups = ctx.groups
-    n, c_in, h, w = ctx.x_shape
-    c_out, c_in_g, kh, kw = ctx.weight.shape
-    oh, ow = record.out.data.shape[2], record.out.data.shape[3]
+    n, c_in = ctx.x_shape[:2]
+    kh, kw = ctx.weight.shape[2:]
+    oh, ow = buf.shape[2:]
     dtype = ctx.weight.dtype
-    has_bias = ctx.has_bias
-
-    pad_buf = interior = None
-    if ph or pw:
-        # np.pad(mode="constant") == a pre-zeroed frame whose interior is
-        # overwritten every replay (the frame itself never changes).
-        pad_buf = np.zeros(ctx.padded_shape, dtype=dtype)
-        interior = pad_buf[:, :, ph : ph + h, pw : pw + w]
-    cols_buf = np.empty((n, groups, c_in_g * kh * kw, oh * ow), dtype=dtype)
-    cols6 = cols_buf.reshape(n, c_in, kh, kw, oh, ow)
-    out_mat = buf.reshape(n, groups, c_out // groups, oh * ow)
-    fx, fw = fetchers[0], fetchers[1]
-    fbias = fetchers[2] if len(fetchers) > 2 else None
-    bias_shape = (1, c_out, 1, 1)
+    # Zeroed once: the forward rewrites only the interior of the frame.
+    padded = None
+    if any(ctx.padding):
+        padded = np.zeros(ctx.padded_shape, dtype=dtype)
+    cols = np.empty((n, c_in, kh, kw, oh, ow), dtype=dtype)
+    kwargs = dict(stride=ctx.stride, padding=ctx.padding, groups=ctx.groups,
+                  out=buf, cols=cols, padded=padded)
 
     def step():
-        x = fx()
-        weight = fw()
-        if pad_buf is not None:
-            np.copyto(interior, x)
-            xp = pad_buf
-        else:
-            xp = x
-        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::sh_, ::sw, :, :]
-        np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-        w_mat = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        np.matmul(w_mat[None], cols_buf, out=out_mat)
-        if has_bias:
-            np.add(buf, fbias().reshape(bias_shape), out=buf)
-        ctx.cols = cols_buf
-        ctx.weight = weight
+        ctx.forward(*[f() for f in fetchers], **kwargs)
         slots[index] = buf
 
     return step
@@ -628,38 +602,19 @@ def _build_conv_forward(record, index, slots, fetchers, buf):
 
 def _planned_conv_backward(ctx, out_shape):
     n, c_out, oh, ow = out_shape
-    groups = ctx.groups
-    c_out_g = c_out // groups
-    c_in_g, kh, kw = ctx.weight.shape[1], ctx.weight.shape[2], ctx.weight.shape[3]
-    sh_, sw = ctx.stride
-    ph, pw = ctx.padding
-    h, w = ctx.x_shape[2], ctx.x_shape[3]
-    weight_shape = ctx.weight.shape
     dtype = ctx.weight.dtype
-
-    gw_buf = np.empty((groups, c_out_g, c_in_g * kh * kw), dtype=dtype)
-    gcols_buf = np.empty((n, groups, c_in_g * kh * kw, oh * ow), dtype=dtype)
-    gx_pad = np.zeros(ctx.padded_shape, dtype=dtype)
-    gcols6 = gcols_buf.reshape(n, groups * c_in_g, kh, kw, oh, ow)
-    padded = bool(ph or pw)
+    c_in_g, kh, kw = ctx.weight.shape[1:]
+    k = c_in_g * kh * kw
+    grad_w = np.empty((ctx.groups, c_out // ctx.groups, k), dtype=dtype)
+    # A conv whose input needs no gradient (the stem) never computes one,
+    # so its input-gradient buffers are never allocated.
+    grad_cols = grad_padded = None
+    if ctx.needs_input_grad[0]:
+        grad_cols = np.empty((n, ctx.groups, k, oh * ow), dtype=dtype)
+        grad_padded = np.empty(ctx.padded_shape, dtype=dtype)
 
     def bwd(grad):
-        grad_mat = grad.reshape(n, groups, c_out_g, oh * ow)
-        np.einsum("ngop,ngkp->gok", grad_mat, ctx.cols, out=gw_buf)
-        grad_w = gw_buf.reshape(weight_shape)
-        w_mat = ctx.weight.reshape(groups, c_out_g, c_in_g * kh * kw)
-        np.matmul(np.swapaxes(w_mat, 1, 2)[None], grad_mat, out=gcols_buf)
-        gx_pad.fill(0)
-        for i in range(kh):
-            h_end = i + sh_ * oh
-            for j in range(kw):
-                w_end = j + sw * ow
-                gx_pad[:, :, i:h_end:sh_, j:w_end:sw] += gcols6[:, :, i, j]
-        grad_x = gx_pad[:, :, ph : ph + h, pw : pw + w] if padded else gx_pad
-        grads = [grad_x, grad_w]
-        if ctx.has_bias:
-            grads.append(grad.sum(axis=(0, 2, 3)))
-        return tuple(grads[: len(ctx.parents)])
+        return ctx.backward(grad, grad_w, grad_cols, grad_padded)
 
     return bwd
 
@@ -891,7 +846,9 @@ class Plan:
                 if g is None:
                     continue
                 grads[gid] = None
-                param.grad = g if param.grad is None else param.grad + g
+                # ``g`` may be a planned kernel's buffer, which the next
+                # replay overwrites: the first write takes a copy.
+                param.grad = g.copy() if param.grad is None else param.grad + g
 
 
 def compile_plan(

@@ -202,3 +202,41 @@ def test_compile_rejects_untraced_root():
     graph.root = Tensor(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(PlanError):
         compile_plan(graph, training=False)
+
+
+def _conv_loss(x, w, b):
+    return F.sum(F.conv2d(x, w, b, stride=1, padding=1) ** 2)
+
+
+def _linear_loss(x, w, b):
+    return F.sum(F.linear(x, w, b) ** 2)
+
+
+@pytest.mark.parametrize("loss_fn, x_shape, w_shape", [
+    (_conv_loss, (2, 3, 5, 5), (4, 3, 3, 3)),
+    (_linear_loss, (6, 4), (5, 4)),
+])
+def test_training_replays_accumulate_like_eager_without_zero_grad(
+        loss_fn, x_shape, w_shape):
+    # The planned conv/linear kernels write weight grads into persistent
+    # buffers; the replay must not hand those out as Parameter.grad.
+    w_plan, w_eager = Parameter(arr(w_shape, 1)), Parameter(arr(w_shape, 1))
+    bias = arr((w_shape[0],), 2)
+    b_plan, b_eager = Parameter(bias.copy()), Parameter(bias.copy())
+
+    graph = trace(lambda x: (loss_fn(x, w_plan, b_plan), {}),
+                  {"x": Tensor(arr(x_shape, 0))})
+    plan = compile_plan(graph, training=True)
+    w_plan.grad = b_plan.grad = None
+
+    steps = [arr(x_shape, 5), arr(x_shape, 6)]
+    plan.replay({"x": steps[0]})
+    held = w_plan.grad
+    held_bytes = held.tobytes()
+    plan.replay({"x": steps[1]})
+
+    for x in steps:
+        run_backward(loss_fn(Tensor(x), w_eager, b_eager))
+    assert held.tobytes() == held_bytes
+    assert w_plan.grad.tobytes() == w_eager.grad.tobytes()
+    assert b_plan.grad.tobytes() == b_eager.grad.tobytes()
