@@ -2,7 +2,7 @@
 
 Times :class:`~repro.contrastive.ContrastiveQuantTrainer` steps with the
 tracing executor on (``engine="trace"`` — record one eager step, compile
-it into a fused, arena-planned :class:`~repro.engine.Plan`, replay it)
+it into a fused :class:`~repro.engine.Plan`, replay it)
 against the fused eager engine (``engine="eager"`` — the previous
 default: view fusion + quant-weight cache, every step through Python
 dispatch).  Both trainers share seeds, so they sample identical

@@ -67,12 +67,12 @@ def main() -> None:
 
     # 5. The same encoder can also be deployed quantized: fine-tune again
     #    with the encoder fixed at 4-bit.
-    from repro.quant import quantize_model
+    from repro.quant import prepare
 
     encoder4 = resnet18(width_multiplier=0.0625,
                         rng=np.random.default_rng(0))
     encoder4.load_state_dict(encoder.state_dict())
-    quantize_model(encoder4)
+    prepare(encoder4, observer="minmax")
     result4 = finetune(
         encoder4, data.train, data.test,
         label_fraction=0.1, precision=4, epochs=10, lr=0.02,

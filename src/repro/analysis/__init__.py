@@ -12,13 +12,9 @@ Two pillars, one :class:`~repro.analysis.findings.Finding` vocabulary:
   :mod:`repro.analysis.concurrency`.  CLI:
   ``python -m repro.analysis.lint src/``.
 
-Two concurrency companions share the vocabulary:
-
-- :mod:`repro.analysis.plans` — AUD006 static plan-aliasing verifier
-  over compiled :class:`~repro.engine.plan.Plan` buffers.  CLI:
-  ``python -m repro.analysis.plans``.
-- :mod:`repro.analysis.sanitize` — runtime lock-order/lockset
-  sanitizer (``REPRO_SANITIZE=1``), dynamic counterpart to RPR009/010.
+A concurrency companion shares the vocabulary:
+:mod:`repro.analysis.sanitize`, the runtime lock-order/lockset
+sanitizer (``REPRO_SANITIZE=1``), dynamic counterpart to RPR009/010.
 
 The CLIs exit nonzero iff any error-severity finding exists, which is
 what the CI ``analysis`` job gates on.
@@ -43,7 +39,6 @@ _EXPORTS = {
     "LockEdge": "concurrency",
     "analyze_tree": "concurrency",
     "cycle_findings": "concurrency",
-    "verify_plan": "plans",
     "ShapeEntry": "graph",
     "ShapeReport": "graph",
     "ShapeError": "graph",
@@ -88,7 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing aid only
                            render_github, render_json, render_text,
                            sort_findings)
     from .functions import discover_autograd_functions
-    from .plans import verify_plan
     from .graph import (QuantizationReport, QuantLayerEntry, ShapeEntry,
                         ShapeError, ShapeReport, audit_batch_statistics,
                         audit_model, audit_parameters, audit_quantization,

@@ -18,11 +18,6 @@ RPR002 Raw ``<expr>.data = ...`` assignment.  ``Parameter.data``
        reassignment outside the sanctioned optimizer/EMA/serialization
        modules bypasses the version counter and poisons ``QuantCache``
        with stale fake-quantized weights.
-RPR003 Calls to (or imports of) the deprecated module-level
-       ``set_precision``; use ``apply_precision`` or the scoped
-       ``precision()`` context instead.  Method calls like
-       ``module.set_precision(...)`` are fine — the
-       ``QuantizedModule`` method is not deprecated.
 RPR004 Mutable default argument (list/dict/set literal, comprehension,
        or ``list()``/``dict()``/``set()`` call).
 RPR005 A class defining ``state_dict`` without ``load_state_dict`` (or
@@ -38,10 +33,9 @@ RPR006 Parallelism outside the parallel layer: importing
        keeps parallel batches byte-identical and resumable.
 RPR007 ``QConv2d.from_float`` / ``QLinear.from_float`` called outside
        :mod:`repro.quant`.  Layer swapping must go through
-       :func:`repro.quant.prepare` (or the deprecated ``quantize_model``
-       shim): hand-rolled swaps skip observer attachment and the
-       skip-callback contract, producing models ``calibrate()`` and
-       ``convert()`` reject.
+       :func:`repro.quant.prepare`: hand-rolled swaps skip observer
+       attachment and the skip-callback contract, producing models
+       ``calibrate()`` and ``convert()`` reject.
 RPR008 Direct tape execution outside the engine layer: calling
        ``<expr>.backward(...)``, referencing ``_topological_order``, or
        importing ``backward`` from :mod:`repro.nn.autograd` anywhere
@@ -49,7 +43,7 @@ RPR008 Direct tape execution outside the engine layer: calling
        route through :func:`repro.engine.run_backward` so the tracing
        executor observes every step and plan replay stays the default
        step path; a raw ``.backward()`` call silently bypasses trace
-       capture and the buffer arena.
+       capture.
 RPR009 Guarded attribute accessed without the owning class's lock: any
        attribute written under ``with self._lock:`` is *guarded*, and a
        public method touching it lock-free is a data race in waiting.
@@ -87,7 +81,6 @@ __all__ = ["RULES", "lint_source", "lint_file", "lint_paths", "main"]
 RULES: Dict[str, str] = {
     "RPR001": "global/unseeded numpy RNG use in library code",
     "RPR002": "raw .data assignment outside sanctioned modules",
-    "RPR003": "deprecated module-level set_precision",
     "RPR004": "mutable default argument",
     "RPR005": "state_dict without load_state_dict (or vice versa)",
     "RPR006": "ad-hoc parallelism outside repro.parallel / unmanaged "
@@ -126,12 +119,6 @@ SANCTIONED: Dict[str, Tuple[str, ...]] = {
         # EMA codebook updates rewrite the codebook Parameter so registry
         # fingerprints observe each training step.
         "repro/retrieval/vq.py",
-    ),
-    # The shim itself and the package re-export that keeps the old
-    # import path alive.
-    "RPR003": (
-        "repro/quant/convert.py",
-        "repro/quant/__init__.py",
     ),
     # The parallel layer is the one place allowed to own pools/executors;
     # everything else must go through PrefetchLoader / SweepExecutor.
@@ -243,12 +230,6 @@ class _RuleVisitor(ast.NodeVisitor):
                     if alias.name == "futures":
                         self._flag_parallel_import(node, "concurrent.futures")
         for alias in node.names:
-            if alias.name == "set_precision":
-                self._emit(
-                    node, "RPR003",
-                    "import of deprecated set_precision; use "
-                    "apply_precision or the precision() context",
-                )
             if (
                 node.module is not None
                 and node.module.rsplit(".", 1)[-1] == "autograd"
@@ -263,7 +244,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    # -- call-based rules (RPR001, RPR003) ------------------------------
+    # -- call-based rules (RPR001, RPR006, RPR007, RPR008) ---------------
 
     def _np_random_fn(self, func: ast.expr) -> Optional[str]:
         """Return the np.random function name if ``func`` names one."""
@@ -319,26 +300,6 @@ class _RuleVisitor(ast.NodeVisitor):
                     f"np.random.{fn}() uses numpy's global RNG; thread "
                     f"a managed np.random.Generator instead",
                 )
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "set_precision"
-        ):
-            self._emit(
-                node, "RPR003",
-                "call to deprecated set_precision(); use apply_precision "
-                "or the precision() context",
-            )
-        elif (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "set_precision"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("quant", "convert")
-        ):
-            self._emit(
-                node, "RPR003",
-                f"call to deprecated {node.func.value.id}.set_precision(); "
-                f"use apply_precision or the precision() context",
-            )
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "from_float"

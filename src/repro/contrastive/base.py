@@ -15,18 +15,11 @@ and gains the same contract:
 Subclasses implement ``train_step(view1, view2) -> float`` and may
 override :meth:`step_info` to enrich the ``on_step`` payload (the CQ
 trainer adds the sampled precision pair and per-term losses).
-
-Backward compatibility: the historical positional-scheduler pattern
-``fit(loader, epochs, scheduler)`` keeps working (with a
-``DeprecationWarning``), and renamed kwargs (``lr_scheduler=``,
-``callback=``) are shimmed to the new names instead of raising a bare
-``TypeError``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,15 +27,6 @@ import numpy as np
 from ..telemetry import EventBus, MetricsRegistry
 
 __all__ = ["TrainerBase"]
-
-#: Renamed/removed fit() kwargs accepted (with a warning) for one cycle.
-_FIT_KWARG_ALIASES = {
-    "lr_scheduler": "scheduler",
-    "schedule": "scheduler",
-    "callback": "callbacks",
-    "cbs": "callbacks",
-}
-
 
 #: Version tag for the trainer checkpoint tree layout.
 TRAINER_STATE_FORMAT = 1
@@ -247,11 +231,10 @@ class TrainerBase:
         self,
         loader,
         epochs: int,
-        *args,
+        *,
         scheduler=None,
         callbacks: Tuple = (),
         resume_from=None,
-        **kwargs,
     ) -> Dict[str, List[float]]:
         """Run ``epochs`` of training, emitting telemetry events.
 
@@ -279,9 +262,6 @@ class TrainerBase:
             run is bit-exact with the uninterrupted one.  An empty or
             fully corrupt checkpoint directory starts from scratch.
         """
-        scheduler, callbacks = self._resolve_fit_args(
-            args, kwargs, scheduler, callbacks
-        )
         resumed = (
             resume_from is not None
             and self._restore_resume_source(resume_from)
@@ -343,49 +323,3 @@ class TrainerBase:
             return False
         self.load_state_dict(loaded.state)
         return True
-
-    # -- backward-compatible argument handling -----------------------------
-    def _resolve_fit_args(self, args, kwargs, scheduler, callbacks):
-        if args:
-            if len(args) > 1 or scheduler is not None:
-                raise TypeError(
-                    f"{type(self).__name__}.fit() takes (loader, epochs) "
-                    f"plus keyword-only scheduler/callbacks; got "
-                    f"{len(args)} extra positional argument(s)"
-                )
-            warnings.warn(
-                f"{type(self).__name__}.fit(loader, epochs, scheduler) with "
-                "a positional scheduler is deprecated; pass scheduler= by "
-                "keyword",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            scheduler = args[0]
-        for name, value in kwargs.items():
-            target = _FIT_KWARG_ALIASES.get(name)
-            if target is None:
-                raise TypeError(
-                    f"{type(self).__name__}.fit() got an unexpected keyword "
-                    f"argument {name!r} (supported: scheduler, callbacks)"
-                )
-            warnings.warn(
-                f"{type(self).__name__}.fit(..., {name}=) is deprecated; "
-                f"use {target}= instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if target == "scheduler":
-                if scheduler is not None:
-                    raise TypeError(
-                        f"{type(self).__name__}.fit() got scheduler twice "
-                        f"(via scheduler= and {name}=)"
-                    )
-                scheduler = value
-            else:
-                if callbacks:
-                    raise TypeError(
-                        f"{type(self).__name__}.fit() got callbacks twice "
-                        f"(via callbacks= and {name}=)"
-                    )
-                callbacks = value if isinstance(value, (tuple, list)) else (value,)
-        return scheduler, tuple(callbacks)

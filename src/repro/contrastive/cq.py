@@ -142,7 +142,7 @@ class ContrastiveQuantTrainer(TrainerBase):
         ``"trace"`` (default) records the first eager step per plan
         signature into a :class:`repro.engine.ExecutionEngine` plan and
         replays it on subsequent steps — byte-identical to eager, with
-        fused elementwise chains and arena-planned buffers.  Steps the
+        fused elementwise chains and each op's own kernels.  Steps the
         engine cannot prove replayable (batch-statistics layers, active
         range observers) fall back to eager automatically.  ``"eager"``
         disables tracing entirely.

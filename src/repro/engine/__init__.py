@@ -3,17 +3,16 @@
 The engine records a single eager training or serving step into a
 :class:`~repro.engine.graph.Graph` (via a ``Function.apply`` hook),
 compiles it into a :class:`~repro.engine.plan.Plan` — fusing elementwise
-chains and pre-planning output buffers in a reusing
-:class:`~repro.engine.arena.Arena` — and replays the plan on subsequent
-steps.  Replays are byte-identical to eager execution by construction;
-anything the tracer or compiler cannot prove replayable falls back to
-eager, permanently for that signature.
+chains — and replays the plan on subsequent steps.  A replay re-runs each
+recorded op's own ``forward`` and ``backward``, so it is byte-identical
+to eager execution by construction; anything the tracer or compiler
+cannot prove replayable falls back to eager, permanently for that
+signature.
 
 :func:`run_backward` is the sanctioned eager entry to the autograd tape
 outside :mod:`repro.nn` (lint rule RPR008).
 """
 
-from .arena import Arena, plan_buffers
 from .engine import EngineResult, ExecutionEngine, run_backward
 from .graph import (
     ConstRef,
@@ -26,17 +25,10 @@ from .graph import (
     SymbolRef,
     TraceError,
 )
-from .plan import (
-    Plan,
-    PlanError,
-    PlanVerificationError,
-    ReplayResult,
-    compile_plan,
-)
+from .plan import Plan, PlanError, ReplayResult, compile_plan
 from .tracer import Tracer, tracing
 
 __all__ = [
-    "Arena",
     "ConstRef",
     "DataRef",
     "EngineResult",
@@ -46,7 +38,6 @@ __all__ = [
     "ParamRef",
     "Plan",
     "PlanError",
-    "PlanVerificationError",
     "Record",
     "ReplayResult",
     "SlotRef",
@@ -54,7 +45,6 @@ __all__ = [
     "TraceError",
     "Tracer",
     "compile_plan",
-    "plan_buffers",
     "run_backward",
     "tracing",
 ]

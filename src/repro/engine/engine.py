@@ -31,9 +31,8 @@ import numpy as np
 
 from ..nn import autograd
 from ..nn.tensor import Tensor
-from .arena import Arena
 from .graph import TraceError
-from .plan import Plan, PlanVerificationError, compile_plan
+from .plan import Plan, compile_plan
 from .tracer import Tracer, tracing
 
 __all__ = ["EngineResult", "ExecutionEngine", "run_backward"]
@@ -55,9 +54,8 @@ def run_backward(tensor: Tensor, grad: Optional[np.ndarray] = None) -> None:
 class EngineResult:
     """Outcome of one engine step.
 
-    ``root`` and ``outputs`` hold arrays (plan buffers on the replay
-    path — copy anything that must outlive the step).  ``executed`` is
-    ``"replay"`` or ``"eager"``.
+    ``root`` and ``outputs`` hold the step's arrays; a later step never
+    writes into them.  ``executed`` is ``"replay"`` or ``"eager"``.
     """
 
     __slots__ = ("executed", "root", "outputs")
@@ -75,19 +73,11 @@ class EngineResult:
 class ExecutionEngine:
     """Trace-once/replay executor with an invalidating plan cache."""
 
-    def __init__(
-        self,
-        mode: str = "trace",
-        training: bool = True,
-        fuse: bool = True,
-        arena: Optional[Arena] = None,
-    ) -> None:
+    def __init__(self, mode: str = "trace", training: bool = True) -> None:
         if mode not in _MODES:
             raise ValueError(f"engine mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.training = training
-        self.fuse = fuse
-        self.arena = arena if arena is not None else Arena()
         self._plans: Dict[Hashable, Plan] = {}
         self._known: Set[Hashable] = set()
         self._vetoed: Set[Hashable] = set()
@@ -115,15 +105,6 @@ class ExecutionEngine:
 
     def plan_for(self, signature: Hashable) -> Optional[Plan]:
         return self._plans.get(signature)
-
-    def plans(self) -> Dict[Hashable, Plan]:
-        """Snapshot of the live plan cache (signature → compiled plan).
-
-        Read-only by convention — the AUD006 sweep
-        (``python -m repro.analysis.plans``) iterates this to verify
-        every cached plan's buffer assignment.
-        """
-        return dict(self._plans)
 
     def veto(self, signature: Hashable) -> None:
         """Permanently exclude ``signature`` from tracing.
@@ -178,14 +159,7 @@ class ExecutionEngine:
             root, taps = eager_fn()
         try:
             graph = tracer.finalize(root, taps)
-            new_plan = compile_plan(
-                graph, training=self.training, arena=self.arena, fuse=self.fuse
-            )
-        except PlanVerificationError:
-            # An AUD006 hazard in a plan that would have been replayed is
-            # a planner bug, not an untraceable step — surface it rather
-            # than silently degrading to eager.
-            raise
+            new_plan = compile_plan(graph, training=self.training)
         except TraceError:
             self._plans.pop(signature, None)
             self._vetoed.add(signature)

@@ -57,7 +57,7 @@ class PretrainConfig:
     fuse_views: bool = True
     #: step execution path: "trace" records one eager step per plan
     #: signature into a replayable plan (fused elementwise chains,
-    #: arena-planned buffers; byte-identical to eager, with automatic
+    #: each op's own kernels; byte-identical to eager, with automatic
     #: eager fallback for untraceable steps), "eager" disables tracing.
     engine: str = "trace"
     #: shapecheck the assembled model against the training data shape

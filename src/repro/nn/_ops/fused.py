@@ -2,9 +2,8 @@
 
 Each fused op composes the *exact* arithmetic of its constituent ops in
 their original order — fusion here means one graph node (one dispatch,
-no intermediate Tensor, reusable scratch) rather than a new arithmetic
-kernel, which is what keeps replayed plans byte-identical to eager
-execution.  The backward methods replay the constituent backward
+no intermediate Tensor) rather than a new arithmetic kernel, which is
+what keeps replayed plans byte-identical to eager execution.  The backward methods replay the constituent backward
 formulas verbatim, innermost-last, so gradient bytes match too.
 
 These are registered alongside the primitives so they can also be used

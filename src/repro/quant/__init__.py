@@ -17,8 +17,6 @@ Deployment is a staged, torch-style pipeline:
 3. :func:`convert` — fold BatchNorm, freeze ranges, and lower to the true
    integer kernels of :mod:`repro.quant.lowered` (verified against the
    fake-quant reference and the AUD001 coverage audit).
-
-``quantize_model`` is the deprecated pre-staged name for :func:`prepare`.
 """
 
 from .cache import QuantCache, active_cache, active_views, quant_execution_scope
@@ -30,8 +28,6 @@ from .convert import (
     count_quantized_modules,
     freeze_reference,
     prepare,
-    quantize_model,
-    set_precision,
 )
 from .fake_quant import (
     fake_quantize,
@@ -85,8 +81,6 @@ __all__ = [
     "freeze_reference",
     "ConvertError",
     "fold_batch_norm",
-    "quantize_model",
-    "set_precision",
     "apply_precision",
     "precision",
     "PrecisionContext",

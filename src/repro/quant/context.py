@@ -1,7 +1,7 @@
 """Scoped precision application: the primary API for switching bit-widths.
 
 Historically precision was applied by mutating every quantized module in
-place with :func:`repro.quant.set_precision` and hoping every caller
+place with a module-level ``set_precision`` and hoping every caller
 remembered to restore it.  :class:`PrecisionContext` makes the switch
 *scoped*: on entry it records each quantized module's current precision and
 applies the requested bits; on exit it restores exactly what was there

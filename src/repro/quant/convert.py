@@ -9,14 +9,10 @@ preceding convs, freezes the calibrated ranges, lowers every QConv2d /
 QLinear to the integer kernels of :mod:`repro.quant.lowered`, audits the
 result with the repo's AUD001 quantization-coverage check, and verifies
 the integer model against the frozen-range fake-quant reference.
-
-``quantize_model`` (the pre-staged name for stage 1) survives as a
-``DeprecationWarning`` shim.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -37,8 +33,6 @@ __all__ = [
     "convert",
     "freeze_reference",
     "ConvertError",
-    "quantize_model",
-    "set_precision",
     "count_quantized_modules",
 ]
 
@@ -262,34 +256,6 @@ def convert(
                 f"max abs error {err:.3g} (rtol={rtol}, atol={atol})"
             )
     return model
-
-
-def quantize_model(
-    model: Module,
-    skip: Optional[Callable[[str, Module], bool]] = None,
-) -> Module:
-    """Deprecated alias for :func:`prepare` (stage 1 of the staged API).
-
-    Note one behaviour fix inherited from ``prepare``: the ``skip``
-    callback now receives the module's *full dotted path* (it used to see
-    only the leaf name, which made nested layers indistinguishable).
-    """
-    warnings.warn(
-        "quantize_model() is deprecated; use repro.quant.prepare() "
-        "(stage 1 of the prepare()/calibrate()/convert() pipeline)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return prepare(model, skip=skip, observer="minmax")
-
-
-def set_precision(*args, **kwargs):
-    """Removed.  Raises ``TypeError`` pointing at the supported APIs."""
-    raise TypeError(
-        "repro.quant.set_precision() has been removed; use the scoped "
-        "'with repro.quant.precision(model, bits):' context or "
-        "repro.quant.apply_precision(model, bits)"
-    )
 
 
 def count_quantized_modules(model: Module) -> int:

@@ -102,11 +102,10 @@ class EmbeddingService:
         ``model=<model_name>``.
     engine:
         ``"trace"`` (default) compiles one forward plan per (model
-        version, batch shape) and replays it — buffers come from a
-        reusing arena, elementwise chains are fused, and a
-        ``Parameter.version`` bump (in-place republish of live weights)
-        retraces automatically.  ``"eager"`` runs every forward through
-        the module graph.
+        version, batch shape) and replays it — elementwise chains are
+        fused, and a ``Parameter.version`` bump (in-place republish of
+        live weights) retraces automatically.  ``"eager"`` runs every
+        forward through the module graph.
     """
 
     def __init__(
@@ -322,10 +321,4 @@ class EmbeddingService:
             delta = self.engine.stats()[key] - before[key]
             if delta:
                 counter.inc(delta)
-        out = np.asarray(result.root)
-        if result.replayed:
-            # Replay outputs live in arena buffers reused by the next
-            # replay of the same plan; copy before rows escape to futures
-            # and the embedding cache.
-            out = np.array(out, copy=True)
-        return out
+        return np.asarray(result.root)

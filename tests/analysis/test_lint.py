@@ -130,43 +130,6 @@ def test_rpr002_sanctioned_optimizer_path():
     ]
 
 
-# -- RPR003: deprecated set_precision ----------------------------------------
-
-def test_rpr003_bare_call_and_import():
-    findings = lint(
-        """\
-        from repro.quant import set_precision
-        set_precision(model, 4)
-        """
-    )
-    assert _codes(findings) == [("RPR003", 1), ("RPR003", 2)]
-
-
-def test_rpr003_module_attribute_call():
-    findings = lint(
-        """\
-        from repro import quant
-        quant.set_precision(model, 4)
-        """
-    )
-    assert _codes(findings) == [("RPR003", 2)]
-
-
-def test_rpr003_method_call_not_flagged():
-    # QuantizedModule.set_precision is the supported per-module API
-    assert lint(
-        """\
-        module.set_precision(4)
-        self.set_precision(None)
-        """
-    ) == []
-
-
-def test_rpr003_shim_definition_site_sanctioned():
-    snippet = "from .convert import set_precision\n"
-    assert lint(snippet, path="src/repro/quant/__init__.py") == []
-
-
 # -- RPR007: from_float outside repro.quant ----------------------------------
 
 def test_rpr007_direct_from_float_flagged():
@@ -544,6 +507,6 @@ def test_src_tree_is_clean():
 
 
 def test_every_rule_documented():
-    assert sorted(RULES) == ["RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005", "RPR006", "RPR007", "RPR008",
-                             "RPR009", "RPR010", "RPR011"]
+    assert sorted(RULES) == ["RPR001", "RPR002", "RPR004", "RPR005",
+                             "RPR006", "RPR007", "RPR008", "RPR009",
+                             "RPR010", "RPR011"]

@@ -156,39 +156,10 @@ class TestUnifiedContract:
 
 
 class TestBackwardCompatibility:
-    def test_positional_scheduler_warns_but_works(self, rng):
-        trainer = build("simclr", rng)
-        scheduler = ConstantLR(trainer.optimizer)
-        with pytest.warns(DeprecationWarning, match="positional scheduler"):
-            history = trainer.fit(loader(rng), 1, scheduler)
-        assert len(history["loss"]) == 1
-
-    def test_renamed_kwarg_shimmed(self, rng):
-        trainer = build("moco", rng)
-        scheduler = ConstantLR(trainer.optimizer)
-        with pytest.warns(DeprecationWarning, match="lr_scheduler"):
-            history = trainer.fit(loader(rng), 1, lr_scheduler=scheduler)
-        assert len(history["loss"]) == 1
-
-    def test_callback_alias_shimmed(self, rng):
-        trainer = build("simsiam", rng)
-        collector = EventCollector()
-        with pytest.warns(DeprecationWarning, match="callback"):
-            trainer.fit(loader(rng), 1, callback=collector)
-        assert any(e == "on_step" for e, _ in collector.events)
-
     def test_unknown_kwarg_still_typeerror(self, rng):
         trainer = build("simclr", rng)
         with pytest.raises(TypeError, match="unexpected keyword"):
             trainer.fit(loader(rng), 1, banana=True)
-
-    def test_scheduler_passed_twice_rejected(self, rng):
-        trainer = build("simclr", rng)
-        scheduler = ConstantLR(trainer.optimizer)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="scheduler twice"):
-                trainer.fit(loader(rng), 1, scheduler=scheduler,
-                            lr_scheduler=scheduler)
 
 
 class TestCQTelemetry:

@@ -1,4 +1,4 @@
-"""Plan compilation: fusion, replay fidelity, rebinding, buffer reuse."""
+"""Plan compilation: fusion, replay fidelity, rebinding, output escape."""
 
 import numpy as np
 import pytest
@@ -171,17 +171,36 @@ def test_symbol_rebinding_matches_eager_quantization():
         assert replayed.root.tobytes() == eager.data.tobytes()
 
 
-def test_inference_replay_reuses_root_buffer():
-    p = Parameter(arr((2, 2), 1))
+def _escaping_bytes(result):
+    return [result.root.tobytes()] + [
+        result.outputs[name].tobytes() for name in sorted(result.outputs)
+    ]
+
+
+@pytest.mark.parametrize("training", [False, True],
+                         ids=["inference", "training"])
+def test_replay_outputs_are_unchanged_by_the_next_replay(training):
+    # Root and taps escape the replay (to futures, caches, loss
+    # telemetry): replay N+1 on different inputs must not write into
+    # anything replay N handed out.
+    w = Parameter(arr((4, 3, 3, 3), 1))
+    lin = Parameter(arr((2, 4), 2))
 
     def fn(x):
-        return F.mul(x, p), {}
+        feats = F.relu(F.conv2d(x, w, None, stride=1, padding=1))
+        logits = F.linear(F.mean(feats, axis=(2, 3)), lin)
+        return F.sum(F.mul(logits, logits)), {"feats": feats,
+                                                "logits": logits}
 
-    plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 2), 0))}),
-                        training=False)
-    first = plan.replay({"x": arr((2, 2), 3)}).root
-    second = plan.replay({"x": arr((2, 2), 4)}).root
-    assert first is second  # arena storage, not a fresh allocation
+    shape = (2, 3, 5, 5)
+    plan = compile_plan(trace(fn, {"x": Tensor(arr(shape, 0))}),
+                        training=training)
+    first = plan.replay({"x": arr(shape, 3)})
+    held = _escaping_bytes(first)
+    second = plan.replay({"x": arr(shape, 4)})
+
+    assert _escaping_bytes(first) == held
+    assert all(a != b for a, b in zip(_escaping_bytes(second), held))
 
 
 def test_stale_reports_version_bumps_for_inference_plans():
@@ -218,8 +237,8 @@ def _linear_loss(x, w, b):
 ])
 def test_training_replays_accumulate_like_eager_without_zero_grad(
         loss_fn, x_shape, w_shape):
-    # The planned conv/linear kernels write weight grads into persistent
-    # buffers; the replay must not hand those out as Parameter.grad.
+    # A Parameter.grad handed out by one replay must survive the next,
+    # and two replays must accumulate exactly like two eager passes.
     w_plan, w_eager = Parameter(arr(w_shape, 1)), Parameter(arr(w_shape, 1))
     bias = arr((w_shape[0],), 2)
     b_plan, b_eager = Parameter(bias.copy()), Parameter(bias.copy())

@@ -5,13 +5,12 @@ import pytest
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.quant import (  # noqa: RPR003 - shim under test
+from repro.quant import (
     QuantCache,
     PrecisionContext,
     apply_precision,
     precision,
     prepare,
-    set_precision,
 )
 from repro.quant.cache import active_cache, active_views
 from repro.quant.qmodules import QuantizedModule
@@ -129,14 +128,3 @@ class TestApplyPrecision:
             apply_precision(plain, 4)
         assert apply_precision(plain, 4, strict=False) == 0
 
-
-class TestSetPrecisionRemoved:
-    def test_raises_type_error(self):
-        model = small_model()
-        with pytest.raises(TypeError, match="has been removed"):
-            set_precision(model, 4)  # noqa: RPR003 - removal under test
-        assert all(m.precision is None for m in qmodules(model))
-
-    def test_raises_regardless_of_signature(self):
-        with pytest.raises(TypeError, match="apply_precision"):
-            set_precision()  # noqa: RPR003 - removal under test

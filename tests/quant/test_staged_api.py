@@ -7,7 +7,7 @@ from repro import nn
 from repro.nn import functional as F
 from repro.nn.autograd import no_grad
 from repro.nn.tensor import Tensor
-from repro.quant import (  # noqa: RPR003 - shim under test
+from repro.quant import (
     EmaMinMaxObserver,
     IntConv2d,
     IntLinear,
@@ -18,7 +18,6 @@ from repro.quant import (  # noqa: RPR003 - shim under test
     calibrate,
     convert,
     prepare,
-    quantize_model,
 )
 
 BITS = 8
@@ -172,16 +171,3 @@ class TestFullPipeline:
         assert lowered.IntConv2d is IntConv2d
         assert lowered.IntLinear is IntLinear
 
-
-class TestQuantizeModelShim:
-    def test_warns_and_delegates(self, rng):
-        model = nn.Sequential(nn.Linear(6, 4, rng=rng))
-        with pytest.warns(DeprecationWarning, match="prepare"):
-            quantize_model(model)
-        assert isinstance(model[0], QLinear)
-
-    def test_shim_forwards_skip(self, rng):
-        with pytest.warns(DeprecationWarning):
-            model = quantize_model(nested_model(rng),
-                                   skip=lambda name, m: name == "0.0")
-        assert not isinstance(model[0][0], QuantizedModule)
