@@ -23,6 +23,8 @@ Writes ``BENCH_engine.json`` at the repo root::
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import pathlib
@@ -44,6 +46,29 @@ IMAGE_SIZE = 8
 WIDTH = 0.0625
 
 ENGINES = ("trace", "eager")
+
+
+def _blas_threads() -> Optional[int]:
+    """OpenBLAS thread count from the library numpy loaded, if found.
+
+    The same ctypes lookup as ``perfbench/common.py``'s ``_blas_threads``.
+    """
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                return int(getter())
+    return None
 
 
 def make_trainer(variant: CQVariant, engine: str) -> ContrastiveQuantTrainer:
@@ -175,6 +200,7 @@ def run(steps: int, warmup: int, batch: int,
             "warmup": warmup,
             "repeats": repeats,
             "cpu_count": os.cpu_count(),
+            "blas_threads": _blas_threads(),
         },
         "variants": results,
     }

@@ -1,18 +1,39 @@
 """2-D convolution via im2col, with stride, padding, and groups support.
 
-This module holds every conv kernel: :func:`_zero_pad`,
+This module holds every conv kernel: :func:`_pad_batch_last`,
 :func:`_im2col`, :func:`_weight_grad` and :func:`_col2im`.
 :class:`Conv2d` runs them for eager autograd, and engine plans
 (:mod:`repro.engine.plan`) replay the same ``Conv2d.forward``/``backward``,
-so replay matches eager byte for byte by construction.
+so replay matches eager byte for byte by construction.  The integer
+serving conv (:class:`repro.quant.lowered.IntConv2d`) pads and unfolds
+its input codes with the same two helpers.
 
-Groups are handled fully vectorised: the im2col buffer is laid out as
-``(N, groups, C_in/groups * kh * kw, OH * OW)`` and contracted against the
-weight viewed as ``(groups, C_out/groups, C_in/groups * kh * kw)`` with a
-single batched matmul.  The weight gradient is one BLAS GEMM per group
-over the merged batch × position axis, ``(g, o, N·P) @ (g, N·P, k)``.
-Depthwise convolution (MobileNetV2) is therefore as fast as a grouped
-GEMM rather than a Python loop over channels.
+Layout
+------
+Tensors enter and leave in NCHW, but the kernels work with the batch
+axis innermost, ``(C, H, W, N)``:
+
+- The input is copied once into a zero-padded ``(C, Hp, Wp, N)`` buffer
+  and unfolded into ``cols`` of shape ``(C, kh, kw, OH, OW, N)`` by
+  ``kh·kw`` slice copies.  ``col2im`` is the same ``kh·kw`` slices, added
+  into a padded ``(C, Hp, Wp, N)`` buffer.  Each copy and add moves
+  contiguous rows of ``OW·N`` values at stride 1 and ``N`` at stride 2.
+  In NCHW the rows would be ``OW`` values long, and a small-image
+  ResNet's stages are only 2–12 pixels wide, so those rows cost more in
+  loop overhead than in memory traffic.
+- Viewed as ``(groups, C_in/groups·kh·kw, OH·OW·N)``, ``cols`` is the
+  right operand of one GEMM per group for the forward, ``W @ cols``, and
+  the left operand of one for the weight gradient, ``cols @ gradᵀ``,
+  which reads the gradient transposed in place.  Each covers the whole
+  batch in one call, and neither copies ``cols``.
+- The backward copies the upstream gradient once into
+  ``(groups, C_out/groups, OH·OW·N)``; both backward GEMMs read that copy.
+  The input gradient is ``Wᵀ @ grad`` followed by ``col2im``.
+
+The price is one NCHW ↔ batch-last copy each of the input, the output
+and the upstream gradient, plus the input gradient when it is needed.
+Grouped and depthwise convs (MobileNetV2) run as the same batched GEMM,
+never a Python loop over channels.
 """
 
 from __future__ import annotations
@@ -20,7 +41,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..autograd import Function
 
@@ -42,52 +62,52 @@ def conv2d_output_shape(
     return oh, ow
 
 
-def _zero_pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad H by ``ph`` and W by ``pw``; the bytes of ``np.pad``."""
+def _pad_batch_last(x: np.ndarray, ph: int, pw: int, dtype=None) -> np.ndarray:
+    """NCHW ``x`` as a zero-padded ``(C, H + 2·ph, W + 2·pw, N)`` array.
+
+    One copy that pads, moves the batch axis last and casts to ``dtype``
+    (default: ``x.dtype``); the bytes of
+    ``np.pad(x, ...).transpose(1, 2, 3, 0)``.
+    """
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    out[:, :, ph : ph + h, pw : pw + w] = x
+    out = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dtype or x.dtype)
+    out[:, ph : ph + h, pw : pw + w] = x.transpose(1, 2, 3, 0)
     return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Return patches of shape (N, C, kh, kw, OH, OW) from padded input."""
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]  # (N, C, OH, OW, kh, kw)
-    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Patches ``(C, kh, kw, OH, OW, N)`` of a padded ``(C, Hp, Wp, N)`` input."""
+    c, hp, wp, n = xp.shape
+    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    cols = np.empty((c, kh, kw, oh, ow, n), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols
 
 
 def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, ...],
-    kh: int,
-    kw: int,
-    sh: int,
-    sw: int,
+    cols: np.ndarray, padded_shape: Tuple[int, ...], sh: int, sw: int
 ) -> np.ndarray:
-    """Scatter-add patches (N, C, kh, kw, OH, OW) back to (N, C, H, W)."""
-    out = np.zeros(x_shape, dtype=cols.dtype)
-    oh, ow = cols.shape[4], cols.shape[5]
+    """Scatter-add patches ``(C, kh, kw, OH, OW, N)`` into ``padded_shape``."""
+    out = np.zeros(padded_shape, dtype=cols.dtype)
+    _, kh, kw, oh, ow, _ = cols.shape
     for i in range(kh):
-        h_end = i + sh * oh
         for j in range(kw):
-            w_end = j + sw * ow
-            out[:, :, i:h_end:sh, j:w_end:sw] += cols[:, :, i, j]
+            out[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, i, j]
     return out
 
 
-def _weight_grad(grad_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """dL/dW (g, C_out/g, k) from grad (N, g, C_out/g, P), cols (N, g, k, P).
+def _weight_grad(grad_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dL/dW ``(g, C_out/g, k)`` from grad ``(g, C_out/g, m)``, cols ``(g, k, m)``.
 
-    Both operands are copied to ``(g, rows, N·P)`` so that a single
-    GEMM per group contracts batch and positions together; the copies
-    are per call, never kept.
+    ``m = OH·OW·N``: one GEMM per group contracts positions and batch
+    together.  It runs as ``cols @ gradᵀ``, reading ``grad`` transposed
+    in place, and returns the small ``(k, C_out/g)`` product as a
+    transposed view; OpenBLAS runs these long, thin products up to twice
+    as fast in this operand order as in ``grad @ colsᵀ``.
     """
-    n, groups, c_out_g, p = grad_mat.shape
-    k = cols.shape[2]
-    a = grad_mat.transpose(1, 2, 0, 3).reshape(groups, c_out_g, n * p)
-    b = cols.transpose(1, 2, 0, 3).reshape(groups, k, n * p)
-    return np.matmul(a, b.transpose(0, 2, 1))
+    return np.matmul(cols, grad_t.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 class Conv2d(Function):
@@ -105,54 +125,50 @@ class Conv2d(Function):
                 f"input channels {c_in} incompatible with weight "
                 f"{weight.shape} and groups={groups}"
             )
-        ph, pw = padding
-        if ph or pw:
-            x = _zero_pad(x, ph, pw)
-        self.padded_shape = x.shape
         oh, ow = conv2d_output_shape((h, w), (kh, kw), stride, padding)
+        xp = _pad_batch_last(x, *padding)
+        self.padded_shape = xp.shape
 
-        cols = _im2col(x, kh, kw, *stride)
-        cols = cols.reshape(n, groups, c_in_g * kh * kw, oh * ow)
+        cols = _im2col(xp, kh, kw, *stride).reshape(groups, c_in_g * kh * kw, -1)
         w_mat = weight.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        # (N, g, C_out/g, OH*OW)
-        out = np.matmul(w_mat[None], cols).reshape(n, c_out, oh, ow)
+        out_t = np.matmul(w_mat, cols).reshape(c_out, oh, ow, n)
+        out = np.ascontiguousarray(out_t.transpose(3, 0, 1, 2))
         if bias is not None:
-            # In place: `out` is the matmul's own fresh output, so no
-            # second (N, C, OH, OW) buffer is made.
+            # In place: `out` is this call's own copy.
             out += bias.reshape(1, c_out, 1, 1)
-        self.cols = cols
+        # The im2col buffer is the largest saved activation on deep
+        # models; keep it only when a backward can run.
+        self.cols = cols if self.needs_input_grad else None
         self.weight = weight
         return out
 
     def backward(self, grad):
         n, c_out, oh, ow = grad.shape
         groups = self.groups
-        c_out_g = c_out // groups
+        c_in, h, w = self.x_shape[1:]
         kh, kw = self.weight.shape[2], self.weight.shape[3]
-        c_in_g = self.weight.shape[1]
-        sh, sw = self.stride
-        ph, pw = self.padding
 
-        grad_mat = grad.reshape(n, groups, c_out_g, oh * ow)
-        grad_w = _weight_grad(grad_mat, self.cols).reshape(self.weight.shape)
+        grad_t = np.ascontiguousarray(grad.transpose(1, 2, 3, 0))
+        grad_t = grad_t.reshape(groups, c_out // groups, -1)
+        grad_w = _weight_grad(grad_t, self.cols).reshape(self.weight.shape)
 
         # dL/dcols -> dL/dx via col2im, unless nothing reads it (the
         # stem conv, whose input is the image).
         grad_x = None
         if self.needs_input_grad[0]:
-            w_mat = self.weight.reshape(groups, c_out_g, c_in_g * kh * kw)
-            grad_cols = np.matmul(np.swapaxes(w_mat, 1, 2)[None], grad_mat)
-            grad_cols = grad_cols.reshape(n, groups * c_in_g, kh, kw, oh, ow)
-            grad_x = _col2im(grad_cols, self.padded_shape, kh, kw, sh, sw)
-            if ph or pw:
-                h, w = self.x_shape[2], self.x_shape[3]
-                grad_x = grad_x[:, :, ph : ph + h, pw : pw + w]
+            w_mat = self.weight.reshape(groups, c_out // groups, -1)
+            grad_cols = np.matmul(w_mat.transpose(0, 2, 1), grad_t)
+            grad_cols = grad_cols.reshape(c_in, kh, kw, oh, ow, n)
+            grad_p = _col2im(grad_cols, self.padded_shape, *self.stride)
+            ph, pw = self.padding
+            grad_x = np.ascontiguousarray(
+                grad_p[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
+            )
 
         grads = [grad_x, grad_w]
         if self.has_bias:
             grads.append(grad.sum(axis=(0, 2, 3)))
-        # The im2col buffer is the largest saved activation on deep models
-        # (C_in * kh * kw * OH * OW floats per image); the engine calls
-        # backward once per node, so drop it as soon as the grads exist.
+        # The engine calls backward once per node, so drop the im2col
+        # buffer as soon as the grads exist.
         self.cols = None
         return tuple(grads[: len(self.parents)])

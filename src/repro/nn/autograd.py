@@ -145,18 +145,21 @@ class Function:
         ctx = cls()
         tensor_inputs = tuple(x for x in inputs if isinstance(x, Tensor))
         raw = tuple(x.data if isinstance(x, Tensor) else x for x in inputs)
-        out_data = ctx.forward(*raw, **kwargs)
-
         requires_grad = is_grad_enabled() and any(
             t.requires_grad for t in tensor_inputs
         )
+        # Set before forward, so an op saves backward state only when a
+        # backward can run (``needs_input_grad`` stays empty otherwise).
+        if requires_grad:
+            ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
+        out_data = ctx.forward(*raw, **kwargs)
+
         # Preserve the op's output dtype: the float32 default only applies
         # to user-constructed tensors, not to intermediate graph nodes
         # (float64 inputs must stay float64 for gradient checking).
         out = Tensor(out_data, requires_grad=requires_grad, dtype=out_data.dtype)
         if requires_grad:
             ctx.parents = tensor_inputs
-            ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
             out._ctx = ctx
         tracer = _trace_state.tracer
         if tracer is not None:

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn import autograd
-from ..nn._ops.conv import _im2col, conv2d_output_shape
+from ..nn._ops.conv import _im2col, _pad_batch_last, conv2d_output_shape
 from ..nn.layers.conv import _pair
 from ..nn.module import Module
 from ..nn.tensor import Tensor, forbid_silent_downcast
@@ -226,7 +226,14 @@ class LoweredModule(Module):
 
 
 class IntConv2d(LoweredModule):
-    """Integer conv2d: uint8 weight codes, im2col GEMM, per-channel requant."""
+    """Integer conv2d: uint8 weight codes, im2col GEMM, per-channel requant.
+
+    One copy pads the input codes, moves the batch axis last and casts
+    them to the exact carrier; the float ``Conv2d``'s own ``_im2col``
+    unfolds them (see :mod:`repro.nn._ops.conv` for the layout).  One GEMM
+    per group then accumulates the code products for the whole batch,
+    and the requantized result is copied back to NCHW.
+    """
 
     _requant_grid = "the integer conv requantization grid"
 
@@ -311,26 +318,20 @@ class IntConv2d(LoweredModule):
         acc_dtype, w_mat = self._weight_operand()
         n, _, h, w = x_codes.shape
         kh, kw = self.kernel_size
-        ph, pw = self.padding
-        # Zero-pad and cast to the accumulator in one copy (np.pad costs
-        # more than the GEMM at serving batch sizes).
-        padded = np.zeros(
-            (n, self.in_channels, h + 2 * ph, w + 2 * pw), dtype=acc_dtype
-        )
-        padded[:, :, ph:ph + h, pw:pw + w] = x_codes
         oh, ow = conv2d_output_shape(
             (h, w), self.kernel_size, self.stride, self.padding
         )
+        # Pad, move the batch axis last and cast to the accumulator in
+        # one copy, then unfold with the float Conv2d's own im2col.
+        padded = _pad_batch_last(x_codes, *self.padding, dtype=acc_dtype)
         cols = _im2col(padded, kh, kw, *self.stride)
-        cols = cols.reshape(n, self.groups, self._gemm_terms(), oh * ow)
-        acc = np.matmul(w_mat[None], cols)  # exact: see _choose_accumulator
-        requant = (self.weight_scale * x_step).reshape(
-            1, self.groups, self.out_channels // self.groups, 1
-        )
-        out = acc * requant
-        out = out.reshape(n, self.out_channels, oh, ow)
+        cols = cols.reshape(self.groups, self._gemm_terms(), -1)
+        acc = np.matmul(w_mat, cols)  # exact: see _choose_accumulator
+        requant = (self.weight_scale * x_step).reshape(-1, 1, 1, 1)
+        out = acc.reshape(self.out_channels, oh, ow, n) * requant
+        out = np.ascontiguousarray(out.transpose(3, 0, 1, 2))
         if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_channels, 1, 1)
+            out += self.bias.reshape(1, self.out_channels, 1, 1)
         # float64 out (Tensor would downcast without dtype=): requantization
         # must not perturb inputs of the *next* integer layer, whose
         # rounding is sensitive at code boundaries.

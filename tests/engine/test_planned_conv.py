@@ -1,9 +1,10 @@
-"""Planned conv backward against eager over a grid of conv geometries.
+"""Replayed conv forward and backward against eager over conv geometries.
 
-ResNet-18 only reaches the planned conv kernels with ``groups=1``; this
-grid adds grouped and depthwise convs, strides, 1×1 kernels and convs
-without bias.  The input gradient is read through a zero-valued
-Parameter offset, since a plan stores gradients only on Parameters.
+A plan replays ``Conv2d``'s own forward and backward.  ResNet-18 only
+runs them with ``groups=1``; this grid adds grouped and depthwise convs,
+strides, 1×1 kernels and convs without bias.  The input gradient is read
+through a zero-valued Parameter offset, since a plan stores gradients
+only on Parameters.
 """
 
 import itertools

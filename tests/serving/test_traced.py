@@ -29,8 +29,8 @@ def test_traced_serving_matches_eager_serving_exactly(rng):
 
 
 def test_replayed_outputs_are_copies_not_arena_views(rng):
-    # replay writes into arena buffers; results escaping to futures must
-    # be snapshots, or the next replay would overwrite them in place.
+    # each replay allocates fresh outputs; results escaping to futures
+    # must keep their values when the next replay runs.
     reg = make_registry()
     x1, x2 = rng.normal(size=(6,)), rng.normal(size=(6,))
     with EmbeddingService(reg, "enc", max_wait_ms=0.5, engine="trace") as svc:
