@@ -383,10 +383,13 @@ class ContrastiveQuantTrainer(TrainerBase):
     def _engine_supported(self) -> bool:
         """Whether this step is safe to trace and replay.
 
-        Batch-statistics layers update running buffers in module-level
-        Python (outside the tape) and active range observers mutate their
-        fitted range per forward — neither side effect survives a replay,
-        so such steps are vetoed up front and run eagerly.
+        Dropout draws a fresh mask per forward and active range
+        observers mutate their fitted range per forward — neither side
+        effect survives a replay, so such steps are vetoed up front and
+        run eagerly.  BatchNorm's running-buffer update would survive
+        (the normalization op runs it inside its forward), but
+        ``contains_batch_statistics`` vetoes BatchNorm models too, so the
+        paper's BatchNorm configuration keeps running eagerly.
         """
         if contains_batch_statistics(self.method):
             return False

@@ -110,10 +110,9 @@ class ExecutionEngine:
         """Permanently exclude ``signature`` from tracing.
 
         For steps the *caller* knows are unsafe to replay before the
-        tracer could find out — e.g. forwards with batch-statistics
-        layers whose buffer updates happen outside the tape, or active
-        range observers.  Vetoed signatures run (and count) as
-        fallbacks.
+        tracer could find out — e.g. forwards with Dropout, whose mask a
+        replay would not redraw, or active range observers.  Vetoed
+        signatures run (and count) as fallbacks.
         """
         self._plans.pop(signature, None)
         self._vetoed.add(signature)

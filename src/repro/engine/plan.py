@@ -3,12 +3,13 @@
 A plan is a scheduler with no arithmetic of its own.  Compilation has
 two stages:
 
-1. **Fusion** — single-consumer elementwise chains (``mul→add`` affine
-   tails, ``add→relu`` residual joins, and their ``mul→add→relu``
-   composition) collapse into one fused node from
-   :mod:`repro.nn._ops.fused`.  The fused forward/backward run the exact
-   constituent arithmetic in the original order, so bytes are preserved;
-   fusion only removes dispatch and intermediate Tensors.
+1. **Fusion** — single-consumer ``add→relu`` pairs (the residual join
+   and activation of every ResNet block) collapse into one
+   :class:`~repro.nn._ops.fused.FusedAddRelu` node.  Its forward and
+   backward run the exact constituent arithmetic in the original order,
+   so bytes are preserved; fusion only removes dispatch and an
+   intermediate Tensor.  Normalization layers are one op each already
+   (:mod:`repro.nn._ops.norm`).
 2. **Schedule compilation** — the forward becomes a flat list of
    zero-argument closures, each re-running one record's own
    ``ctx.forward``; the backward becomes a precompiled entry list of
@@ -31,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..nn._ops import elementwise as _ew
-from ..nn._ops.fused import FusedAddRelu, FusedMulAdd, FusedMulAddRelu
+from ..nn._ops.fused import FusedAddRelu
 from ..nn.autograd import _topological_order
 from ..nn.module import Parameter
 from .graph import (
@@ -144,115 +145,38 @@ def _make_fused(op_cls, ctx_state, parents_source, args, out):
 
 
 def _fuse_records(records, root_slot, output_slots):
-    """Run the two fusion scans; returns rewritten records and indices."""
-    for _ in range(2):  # second scan folds relu over freshly fused affines
-        protected = {root_slot} | set(output_slots.values())
-        sole = _single_consumer_map(records, protected)
-        fusions: Dict[int, Record] = {}
-        dropped: Set[int] = set()
-        for i, record in enumerate(records):
-            if i in dropped:
-                continue
-            grad = record.requires_grad
-            # add → relu  /  fused-mul-add → relu
-            if record.op is _ew.Relu and isinstance(record.args[0], SlotRef):
-                j = record.args[0].index
-                inner = records[j]
-                if sole.get(j) != i or j in dropped or j in fusions:
-                    continue
-                if inner.requires_grad != grad:
-                    continue
-                if inner.op is _ew.Add and len(inner.args) == 2:
-                    state = {
-                        "a_shape": inner.ctx.a_shape,
-                        "b_shape": inner.ctx.b_shape,
-                        "mask": record.ctx.mask,
-                    }
-                    parents = (
-                        (inner.ctx.parents, inner.ctx.needs_input_grad)
-                        if grad
-                        else None
-                    )
-                    fusions[i] = _make_fused(
-                        FusedAddRelu, state, parents, inner.args, record.out
-                    )
-                    dropped.add(j)
-                elif inner.op is FusedMulAdd:
-                    state = {
-                        "a": inner.ctx.a,
-                        "b": inner.ctx.b,
-                        "mul_shape": inner.ctx.mul_shape,
-                        "c_shape": inner.ctx.c_shape,
-                        "mask": record.ctx.mask,
-                        "_mul_dtype": inner.ctx._mul_dtype,
-                    }
-                    parents = (
-                        (inner.ctx.parents, inner.ctx.needs_input_grad)
-                        if grad
-                        else None
-                    )
-                    fusions[i] = _make_fused(
-                        FusedMulAddRelu, state, parents, inner.args, record.out
-                    )
-                    dropped.add(j)
-                continue
-            # mul → add (affine tail)
-            if (
-                record.op is _ew.Add
-                and len(record.args) == 2
-                and isinstance(record.args[0], SlotRef)
-                and isinstance(record.args[1], (SlotRef, DataRef, ParamRef,
-                                                InputRef, ConstRef))
-            ):
-                j = record.args[0].index
-                inner = records[j]
-                if sole.get(j) != i or j in dropped or j in fusions:
-                    continue
-                if inner.op is not _ew.Mul or len(inner.args) != 2:
-                    continue
-                if inner.requires_grad != grad:
-                    continue
-                if not all(
-                    isinstance(
-                        r, (SlotRef, DataRef, ParamRef, InputRef, ConstRef)
-                    )
-                    for r in inner.args
-                ):
-                    continue
-                if inner.out.data.shape != record.out.data.shape:
-                    continue
-                if grad and (
-                    len(inner.ctx.parents) != 2 or len(record.ctx.parents) != 2
-                ):
-                    continue
-                state = {
-                    "a": inner.ctx.a,
-                    "b": inner.ctx.b,
-                    "mul_shape": inner.out.data.shape,
-                    "c_shape": record.ctx.b_shape,
-                    "_mul_dtype": inner.out.data.dtype,
-                }
-                parents = None
-                if grad:
-                    parents = (
-                        inner.ctx.parents + (record.ctx.parents[1],),
-                        inner.ctx.needs_input_grad
-                        + (record.ctx.needs_input_grad[1],),
-                    )
-                fusions[i] = _make_fused(
-                    FusedMulAdd,
-                    state,
-                    parents,
-                    (inner.args[0], inner.args[1], record.args[1]),
-                    record.out,
-                )
-                dropped.add(j)
-        if not fusions:
-            break
-        records, root_slot, output_slots = _rewrite(
-            records, fusions, dropped, root_slot, output_slots
+    """Fuse single-consumer ``add → relu`` pairs; re-index the records."""
+    protected = {root_slot} | set(output_slots.values())
+    sole = _single_consumer_map(records, protected)
+    fusions: Dict[int, Record] = {}
+    dropped: Set[int] = set()
+    for i, record in enumerate(records):
+        if record.op is not _ew.Relu:
+            continue
+        if not isinstance(record.args[0], SlotRef):
+            continue
+        j = record.args[0].index
+        inner = records[j]
+        if sole.get(j) != i or inner.op is not _ew.Add or len(inner.args) != 2:
+            continue
+        grad = record.requires_grad
+        if inner.requires_grad != grad:
+            continue
+        state = {
+            "a_shape": inner.ctx.a_shape,
+            "b_shape": inner.ctx.b_shape,
+            "mask": record.ctx.mask,
+        }
+        parents = (
+            (inner.ctx.parents, inner.ctx.needs_input_grad) if grad else None
         )
-    return records, root_slot, output_slots
+        fusions[i] = _make_fused(
+            FusedAddRelu, state, parents, inner.args, record.out
+        )
+        dropped.add(j)
+    if not fusions:
+        return records, root_slot, output_slots
+    return _rewrite(records, fusions, dropped, root_slot, output_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Group and layer normalization (batch-size-independent alternatives).
+"""Group and layer normalization: statistics per sample.
 
-BatchNorm statistics degrade at the small batch sizes this CPU harness
-favours; GroupNorm/LayerNorm normalize per sample and are provided as
-substrate breadth for downstream users (they are not used by the paper's
-reference architectures).
+GroupNorm and LayerNorm normalize each sample on its own, so the samples
+of a batch do not affect one another.  That is what lets the contrastive
+trainers encode both views as one fused batch and the engine replay
+their steps as compiled plans.  The paper's reference architectures use
+BatchNorm; ``resnet18(norm="group")`` and ``head_norm="layer"`` swap
+these layers in.  All three layer kinds run one normalization op,
+:class:`repro.nn._ops.norm.Normalize`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import functional as F
+from .._ops.norm import Normalize
 from ..module import Module, Parameter
+from ..tensor import as_tensor
 
 __all__ = ["GroupNorm", "LayerNorm"]
 
@@ -38,23 +42,15 @@ class GroupNorm(Module):
     def forward(self, x):
         if x.ndim != 4:
             raise ValueError(f"GroupNorm expects NCHW input, got {x.shape}")
-        n, c, h, w = x.shape
-        if c != self.num_channels:
+        if x.shape[1] != self.num_channels:
             raise ValueError(
-                f"expected {self.num_channels} channels, got {c}"
+                f"expected {self.num_channels} channels, got {x.shape[1]}"
             )
-        grouped = F.reshape(x, (n, self.num_groups, -1))
-        mean = F.mean(grouped, axis=2, keepdims=True)
-        centered = grouped - mean
-        var = F.mean(centered * centered, axis=2, keepdims=True)
-        normalized = centered * ((var + self.eps) ** -0.5)
-        out = F.reshape(normalized, (n, c, h, w))
-        if self.affine:
-            shape = (1, c, 1, 1)
-            out = out * F.reshape(self.weight, shape) + F.reshape(
-                self.bias, shape
-            )
-        return out
+        weight, bias = ((self.weight, self.bias) if self.affine
+                        else (None, None))
+        return Normalize.apply(
+            as_tensor(x), weight, bias, groups=self.num_groups, eps=self.eps
+        )
 
     def __repr__(self) -> str:
         return (
@@ -87,13 +83,11 @@ class LayerNorm(Module):
             raise ValueError(
                 f"expected last dim {self.normalized_dim}, got {x.shape}"
             )
-        mean = F.mean(x, axis=-1, keepdims=True)
-        centered = x - mean
-        var = F.mean(centered * centered, axis=-1, keepdims=True)
-        out = centered * ((var + self.eps) ** -0.5)
-        if self.affine:
-            out = out * self.weight + self.bias
-        return out
+        weight, bias = ((self.weight, self.bias) if self.affine
+                        else (None, None))
+        return Normalize.apply(
+            as_tensor(x), weight, bias, groups=1, channel_axis=-1, eps=self.eps
+        )
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_dim}, eps={self.eps})"

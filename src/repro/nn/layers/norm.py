@@ -1,23 +1,28 @@
-"""Batch normalization layers (1-D and 2-D)."""
+"""Batch normalization layers (1-D and 2-D).
+
+Both run the normalization op :class:`repro.nn._ops.norm.Normalize`:
+with the batch's statistics in training (or without running buffers),
+and with the running buffers in eval mode.  The op's forward folds each
+batch's statistics into the buffers through
+:meth:`_BatchNorm.update_running_stats`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import functional as F
+from .._ops.norm import Normalize
 from ..module import Module, Parameter
-from ..tensor import Tensor
+from ..tensor import as_tensor
 
 __all__ = ["BatchNorm1d", "BatchNorm2d"]
 
 
 class _BatchNorm(Module):
-    """Shared batch-norm machinery; subclasses fix the reduction axes."""
+    """Shared batch-norm machinery; subclasses fix the input rank."""
 
-    #: axes reduced to compute per-channel statistics
-    _axes = (0,)
-    #: broadcast shape builder for per-channel parameters
     _ndim = 2
+    _layout = "(N, C)"
 
     def __init__(
         self,
@@ -46,11 +51,6 @@ class _BatchNorm(Module):
                 "running_var", np.ones(num_features, dtype=np.float32)
             )
             self.register_buffer("num_batches_tracked", np.array(0, dtype=np.int64))
-
-    def _param_shape(self):
-        shape = [1] * self._ndim
-        shape[1] = self.num_features
-        return tuple(shape)
 
     # -- folding hook --------------------------------------------------------
     @property
@@ -86,35 +86,37 @@ class _BatchNorm(Module):
             shift = -scale * mean
         return scale, shift
 
+    def update_running_stats(self, batch_mean, batch_var) -> None:
+        """Fold one batch's mean and unbiased variance into the buffers.
+
+        The normalization op calls this from its forward in training
+        mode, once per forward, so eager steps, ``no_grad`` forwards and
+        plan replays all update the buffers the same way.
+        """
+        m = self.momentum
+        self.set_buffer(
+            "running_mean", (1 - m) * self.running_mean + m * batch_mean
+        )
+        self.set_buffer(
+            "running_var", (1 - m) * self.running_var + m * batch_var
+        )
+        self.set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+
     def forward(self, x):
-        shape = self._param_shape()
+        if x.ndim != self._ndim:
+            raise ValueError(
+                f"{type(self).__name__} expects {self._layout} input, "
+                f"got {x.shape}"
+            )
+        x = as_tensor(x)
+        weight, bias = ((self.weight, self.bias) if self.affine
+                        else (None, None))
         if self.training or not self.track_running_stats:
-            mean = F.mean(x, axis=self._axes, keepdims=True)
-            centered = x - mean
-            var = F.mean(centered * centered, axis=self._axes, keepdims=True)
-            if self.track_running_stats:
-                batch_mean = mean.data.reshape(-1)
-                n = x.data.size / self.num_features
-                unbiased = var.data.reshape(-1) * (n / max(n - 1.0, 1.0))
-                m = self.momentum
-                self.set_buffer(
-                    "running_mean", (1 - m) * self.running_mean + m * batch_mean
-                )
-                self.set_buffer(
-                    "running_var", (1 - m) * self.running_var + m * unbiased
-                )
-                self.set_buffer(
-                    "num_batches_tracked", self.num_batches_tracked + 1
-                )
-            inv_std = (var + self.eps) ** -0.5
-            out = centered * inv_std
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            out = (x - mean) * ((var + self.eps) ** -0.5)
-        if self.affine:
-            out = out * F.reshape(self.weight, shape) + F.reshape(self.bias, shape)
-        return out
+            running = self if self.track_running_stats else None
+            return Normalize.apply(x, weight, bias, eps=self.eps,
+                                   running=running)
+        return Normalize.apply(x, weight, bias, eps=self.eps,
+                               mean=self.running_mean, var=self.running_var)
 
     def __repr__(self) -> str:
         return (
@@ -126,22 +128,12 @@ class _BatchNorm(Module):
 class BatchNorm1d(_BatchNorm):
     """Batch norm over (N, C) input."""
 
-    _axes = (0,)
     _ndim = 2
-
-    def forward(self, x):
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, C) input, got {x.shape}")
-        return super().forward(x)
+    _layout = "(N, C)"
 
 
 class BatchNorm2d(_BatchNorm):
     """Batch norm over (N, C, H, W) input."""
 
-    _axes = (0, 2, 3)
     _ndim = 4
-
-    def forward(self, x):
-        if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects (N, C, H, W) input, got {x.shape}")
-        return super().forward(x)
+    _layout = "(N, C, H, W)"

@@ -30,18 +30,6 @@ def op_names(plan):
 
 # -- fusion ------------------------------------------------------------------
 
-def test_mul_add_relu_chain_fuses_to_one_kernel():
-    a = Parameter(arr((2, 3), 1))
-    b = Parameter(arr((2, 3), 2))
-
-    def fn(x):
-        return F.relu(F.add(F.mul(x, a), b)), {}
-
-    graph = trace(fn, {"x": Tensor(arr((2, 3), 0))})
-    plan = compile_plan(graph, training=False)
-    assert op_names(plan) == ["FusedMulAddRelu"]
-
-
 def test_add_relu_fuses_without_leading_mul():
     b = Parameter(arr((2, 3), 2))
 
@@ -53,31 +41,17 @@ def test_add_relu_fuses_without_leading_mul():
     assert op_names(plan) == ["FusedAddRelu"]
 
 
-def test_mul_add_fuses_without_trailing_relu():
-    a = Parameter(arr((2, 3), 1))
-    b = Parameter(arr((2, 3), 2))
-
-    def fn(x):
-        return F.sum(F.add(F.mul(x, a), b)), {}
-
-    plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 3), 0))}),
-                        training=False)
-    assert op_names(plan) == ["FusedMulAdd", "Sum"]
-
-
 def test_multi_consumer_intermediate_is_not_fused():
-    a = Parameter(arr((2, 3), 1))
     b = Parameter(arr((2, 3), 2))
 
     def fn(x):
-        y = F.mul(x, a)
-        z = F.add(y, b)
-        return F.add(z, y), {}  # y has two consumers: Mul must survive
+        y = F.add(x, b)
+        z = F.relu(y)
+        return F.add(z, y), {}  # y has two consumers: Add must survive
 
     plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 3), 0))}),
                         training=False)
-    assert "Mul" in op_names(plan)
-    assert "FusedMulAdd" not in op_names(plan)
+    assert op_names(plan) == ["Add", "Relu", "Add"]
 
 
 def test_fuse_false_keeps_primitive_records():

@@ -6,6 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 
@@ -73,7 +74,6 @@ def gradcheck(
     would mask bugs that only show with varying ``grad_output``).  This is
     the promoted form of the per-module ``test_gradcheck`` pattern.
     """
-    from repro.nn import functional as F
 
     def scalarized() -> Tensor:
         out = func()
@@ -114,4 +114,72 @@ def conv2d_reference(x, weight, bias, stride, padding, groups=1):
                     out[b, oc, i, j] = np.sum(patch * weight[oc])
             if bias is not None:
                 out[b, oc] += bias[oc]
+    return out
+
+
+# -- normalization references -------------------------------------------------
+# The composites the normalization layers ran before each became one op
+# (repro.nn._ops.norm.Normalize), kept verbatim as its reference: every
+# step is a primitive tape op, so autograd derives their gradients.
+
+
+def group_norm_reference(x, num_groups, weight=None, bias=None, eps=1e-5):
+    """GroupNorm over NCHW ``x`` as a composite of primitive ops."""
+    n, c, h, w = x.shape
+    grouped = F.reshape(x, (n, num_groups, -1))
+    mean = F.mean(grouped, axis=2, keepdims=True)
+    centered = grouped - mean
+    var = F.mean(centered * centered, axis=2, keepdims=True)
+    normalized = centered * ((var + eps) ** -0.5)
+    out = F.reshape(normalized, (n, c, h, w))
+    if weight is not None:
+        shape = (1, c, 1, 1)
+        out = out * F.reshape(weight, shape) + F.reshape(bias, shape)
+    return out
+
+
+def layer_norm_reference(x, weight=None, bias=None, eps=1e-5):
+    """LayerNorm over the last axis of ``x`` as a composite."""
+    mean = F.mean(x, axis=-1, keepdims=True)
+    centered = x - mean
+    var = F.mean(centered * centered, axis=-1, keepdims=True)
+    out = centered * ((var + eps) ** -0.5)
+    if weight is not None:
+        out = out * weight + bias
+    return out
+
+
+def batch_norm_reference(bn, x):
+    """``bn``'s forward as a composite, running-buffer update included.
+
+    Reads and updates ``bn``'s own parameters and buffers, so a second
+    layer with the same initial state can run the real forward beside it.
+    """
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    shape = [1] * x.ndim
+    shape[1] = bn.num_features
+    shape = tuple(shape)
+    if bn.training or not bn.track_running_stats:
+        mean = F.mean(x, axis=axes, keepdims=True)
+        centered = x - mean
+        var = F.mean(centered * centered, axis=axes, keepdims=True)
+        if bn.track_running_stats:
+            batch_mean = mean.data.reshape(-1)
+            n = x.data.size / bn.num_features
+            unbiased = var.data.reshape(-1) * (n / max(n - 1.0, 1.0))
+            m = bn.momentum
+            bn.set_buffer(
+                "running_mean", (1 - m) * bn.running_mean + m * batch_mean
+            )
+            bn.set_buffer(
+                "running_var", (1 - m) * bn.running_var + m * unbiased
+            )
+            bn.set_buffer("num_batches_tracked", bn.num_batches_tracked + 1)
+        out = centered * ((var + bn.eps) ** -0.5)
+    else:
+        mean = Tensor(bn.running_mean.reshape(shape))
+        var = Tensor(bn.running_var.reshape(shape))
+        out = (x - mean) * ((var + bn.eps) ** -0.5)
+    if bn.affine:
+        out = out * F.reshape(bn.weight, shape) + F.reshape(bn.bias, shape)
     return out

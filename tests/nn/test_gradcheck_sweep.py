@@ -23,6 +23,7 @@ from repro.nn._ops import (
     elementwise as ops_elementwise,
     fused as ops_fused,
     matmul as ops_matmul,
+    norm as ops_norm,
     pool as ops_pool,
     reduce as ops_reduce,
     shape as ops_shape,
@@ -37,6 +38,7 @@ OP_MODULES = (
     ops_elementwise,
     ops_fused,
     ops_matmul,
+    ops_norm,
     ops_pool,
     ops_reduce,
     ops_shape,
@@ -88,6 +90,38 @@ def normal(shape, seed=0):
     return tensor64(_rng(seed).normal(size=shape))
 
 
+# Every mode of the normalization op, as (args, kwargs) for
+# ``Normalize.apply``: which values share statistics (per-sample groups
+# or per-channel batch) and where the statistics come from.
+NORMALIZE_MODES = {
+    "group_affine": lambda: (
+        (normal((2, 4, 3, 3), 70), normal((4,), 71), normal((4,), 72)),
+        {"groups": 2},
+    ),
+    "group_plain": lambda: (
+        (normal((2, 4, 3, 3), 73), None, None), {"groups": 2}
+    ),
+    "layer_2d": lambda: (
+        (normal((3, 5), 74), normal((5,), 75), normal((5,), 76)),
+        {"groups": 1, "channel_axis": -1},
+    ),
+    "layer_3d": lambda: (
+        (normal((2, 3, 5), 77), normal((5,), 78), normal((5,), 79)),
+        {"groups": 1, "channel_axis": -1},
+    ),
+    "batch_1d": lambda: (
+        (normal((6, 3), 80), normal((3,), 81), normal((3,), 82)), {}
+    ),
+    "batch_2d": lambda: (
+        (normal((3, 2, 2, 3), 83), normal((2,), 84), normal((2,), 85)), {}
+    ),
+    "batch_running": lambda: (
+        (normal((3, 2, 2, 3), 86), normal((2,), 87), normal((2,), 88)),
+        {"mean": _rng(89).normal(size=2),
+         "var": _rng(90).uniform(0.5, 2.0, size=2)},
+    ),
+}
+
 # Each spec: builder returning (args, kwargs) passed to cls.apply().
 # Tensor arguments are gradient-checked; everything else rides along.
 SPECS = {
@@ -119,23 +153,12 @@ SPECS = {
     ),
     "Sigmoid": lambda: ((normal((2, 3), 23),), {}),
     "Tanh": lambda: ((normal((2, 3), 24),), {}),
-    # fused elementwise chains (engine plan compiler) -- the relu-tailed
-    # ones pin the pre-activation away from the kink by construction
-    "FusedMulAdd": lambda: (
-        (normal((2, 3), 60), normal((1, 3), 61), normal((2, 1), 62)), {}
-    ),
+    # fused add -> relu (engine plan compiler)
     "FusedAddRelu": lambda: (
         # b = target - a, so a + b lands in +-[0.5, 1.5]: no kink ties.
         (normal((2, 3), 63),
          tensor64(away_from_zero((2, 3), 0.5, 64).data
                   - normal((2, 3), 63).data)),
-        {},
-    ),
-    "FusedMulAddRelu": lambda: (
-        # c = target - a*b, so the pre-relu sum stays off the kink.
-        (normal((2, 3), 65), normal((2, 3), 66),
-         tensor64(away_from_zero((2, 3), 0.5, 67).data
-                  - normal((2, 3), 65).data * normal((2, 3), 66).data)),
         {},
     ),
     # matmul
@@ -148,6 +171,9 @@ SPECS = {
         (normal((2, 3, 5, 5), 30), normal((4, 3, 3, 3), 31), normal((4,), 32)),
         {"stride": (2, 2), "padding": (1, 1)},
     ),
+    # norm -- one op for every normalization layer; this entry is
+    # GroupNorm's, and test_normalize_mode_gradients checks every mode
+    "Normalize": lambda: NORMALIZE_MODES["group_affine"](),
     # pool -- distinct values keep the argmax unique under perturbation
     "MaxPool2d": lambda: (
         (distinct((2, 2, 4, 4), 33),),
@@ -226,6 +252,22 @@ class TestConv2dVariants:
         gradcheck(
             lambda: ops_conv.Conv2d.apply(x, w), [x, w], atol=1e-4
         )
+
+
+@pytest.mark.parametrize("mode", sorted(NORMALIZE_MODES))
+def test_normalize_mode_gradients(mode):
+    """Every normalization mode, through a fixed random probe.
+
+    The probe makes the checked scalar ``sum((probe * out)**2)``: without
+    it, a mode with no affine would check ``sum(xhat**2)``, which is
+    nearly constant in ``x``.
+    """
+    args, kwargs = NORMALIZE_MODES[mode]()
+    tensors = [a for a in args if isinstance(a, Tensor)]
+    probe = _rng(91).normal(size=args[0].shape)
+    gradcheck(
+        lambda: ops_norm.Normalize.apply(*args, **kwargs) * probe, tensors
+    )
 
 
 class TestQuantizerSTE:
