@@ -9,6 +9,7 @@ Pascal VOC with a synthetic detection dataset
 """
 
 from .augment import (
+    Augmentation,
     ColorJitter,
     Compose,
     Cutout,
@@ -38,6 +39,7 @@ __all__ = [
     "SyntheticImages",
     "make_cifar100_like",
     "make_imagenet_like",
+    "Augmentation",
     "Compose",
     "RandomResizedCrop",
     "RandomHorizontalFlip",

@@ -113,9 +113,16 @@ _SAMPLE_DOMAIN = 2
 class DataLoader:
     """Mini-batch iterator with shuffling and optional transform.
 
-    ``transform(image, rng) -> image-or-tuple`` is applied per sample; when
+    ``transform(image, rng) -> image-or-tuple`` augments each sample; when
     it returns a tuple (e.g. two augmented views), the loader yields one
     stacked array per tuple slot, enabling the two-view contrastive batches.
+    A batched transform (``transform.batched``, see
+    :mod:`repro.data.augment`) runs in two halves: ``draw`` takes each
+    sample's parameters from that sample's generator, in batch order, and
+    one ``apply`` augments the stacked batch.  The batch equals the
+    per-sample calls byte for byte, and every generator is consumed
+    exactly as a per-sample call would.  Any other callable runs once per
+    sample.
 
     Two seeding modes:
 
@@ -224,21 +231,37 @@ class DataLoader:
         return chunks
 
     def collate(self, epoch: int, indices: np.ndarray):
-        """Materialise one batch; pure in seeded mode (worker-safe)."""
-        if self.seed is None:
-            return self._collate_legacy(indices)
-        images, labels = [], []
-        for i in indices:
-            index = int(i)
-            image, label = self.dataset[index]
-            if self.transform is not None:
-                sample_rng = derive_rng(
-                    self.seed, _SAMPLE_DOMAIN, epoch, index
-                )
-                image = self.transform(image, sample_rng)
-            images.append(image)
-            labels.append(label)
-        return self._stack(images, labels)
+        """Materialise one batch; pure in seeded mode (worker-safe).
+
+        Sample ``i``'s generator is the loader's shared stream (legacy
+        mode) or the one derived from ``(seed, epoch, i)``; samples take
+        theirs in batch order.
+        """
+        def sample_rng(index: int) -> np.random.Generator:
+            if self.seed is None:
+                return self.rng
+            return derive_rng(self.seed, _SAMPLE_DOMAIN, epoch, index)
+
+        indices = [int(i) for i in indices]
+        samples = [self.dataset[i] for i in indices]
+        images = [image for image, _ in samples]
+        labels = np.asarray([label for _, label in samples], dtype=np.int64)
+        transform = self.transform
+        if transform is None:
+            batch = np.stack(images)
+        elif getattr(transform, "batched", False):
+            params = [transform.draw(sample_rng(i), image.shape)
+                      for i, image in zip(indices, images)]
+            batch = transform.apply(np.stack(images), params)
+        else:
+            outputs = [transform(image, sample_rng(i))
+                       for i, image in zip(indices, images)]
+            if isinstance(outputs[0], tuple):
+                batch = tuple(np.stack(view) for view in zip(*outputs))
+            else:
+                batch = np.stack(outputs)
+        views = batch if isinstance(batch, tuple) else (batch,)
+        return (*(v.astype(np.float32, copy=False) for v in views), labels)
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, ...]]:
         if self.num_workers > 0:
@@ -306,24 +329,3 @@ class DataLoader:
             set_rng_state(self.rng, state["rng"])
         else:
             raise ValueError(f"unknown loader state mode {mode!r}")
-
-    def _collate_legacy(self, indices: np.ndarray):
-        images, labels = [], []
-        for i in indices:
-            image, label = self.dataset[int(i)]
-            if self.transform is not None:
-                image = self.transform(image, self.rng)
-            images.append(image)
-            labels.append(label)
-        return self._stack(images, labels)
-
-    @staticmethod
-    def _stack(images, labels):
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        if isinstance(images[0], tuple):
-            views = tuple(
-                np.stack([img[v] for img in images]).astype(np.float32)
-                for v in range(len(images[0]))
-            )
-            return (*views, labels_arr)
-        return np.stack(images).astype(np.float32), labels_arr

@@ -21,7 +21,10 @@ pool and returns a :class:`SweepResult` of structured per-job outcomes:
 Backends: ``"process"`` (fork start method; the default where
 available), ``"thread"``, and ``"serial"`` (inline, for debugging and
 platforms without fork — also what ``"auto"`` degrades to for a single
-worker).
+worker).  Each process worker pins OpenBLAS to one thread, so N workers
+run N BLAS threads rather than N times the default (which oversubscribes
+the cores the workers already split); a numpy without the OpenBLAS setter
+warns once and keeps the default.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ import pathlib
 import re
 import time
 import traceback
+import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+from .blas import blas_thread_setter
 
 __all__ = ["SweepJob", "JobResult", "SweepResult", "SweepExecutor"]
 
@@ -128,6 +134,13 @@ class SweepResult:
                             title=title)
 
 
+def _one_blas_thread() -> None:
+    """Process-pool initializer: this worker runs OpenBLAS on one thread."""
+    setter = blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
 def _run_job_isolated(fn: Callable, kwargs: Dict[str, object]) -> Dict[str, object]:
     """Execute one job, catching its failure *inside* the worker."""
     start = time.perf_counter()
@@ -199,9 +212,18 @@ class SweepExecutor:
 
     def _make_executor(self) -> concurrent.futures.Executor:
         if self.backend == "process":
+            if blas_thread_setter() is None:
+                # Issued from this one line, so the default filter shows
+                # it once per process.
+                warnings.warn(
+                    "numpy's OpenBLAS exports no set_num_threads symbol; "
+                    "sweep workers keep the default BLAS thread count",
+                    RuntimeWarning,
+                )
             return concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=_one_blas_thread,
             )
         return concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="sweep"

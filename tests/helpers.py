@@ -183,3 +183,158 @@ def batch_norm_reference(bn, x):
     if bn.affine:
         out = out * F.reshape(bn.weight, shape) + F.reshape(bn.bias, shape)
     return out
+
+
+# -- augmentation references ----------------------------------------------------
+# The per-image augmentation ops repro.data.augment ran before each op split
+# into a per-image ``draw`` and a batched ``apply``, kept verbatim as their
+# reference: the same generator calls in the same order, and the same
+# arithmetic except for the order of the jitter ops' float32 reductions.
+
+
+def resize_bilinear_reference(image, out_h, out_w):
+    """Bilinear resize of a CHW image."""
+    c, h, w = image.shape
+    if (h, w) == (out_h, out_w):
+        return image.copy()
+    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
+    bottom = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    return (top * (1 - wy) + bottom * wy).astype(image.dtype)
+
+
+def crop_reference(scale=(0.4, 1.0), ratio=(0.75, 1.333)):
+    def crop(image, rng):
+        c, h, w = image.shape
+        area = h * w
+        for _ in range(10):
+            target_area = area * rng.uniform(*scale)
+            aspect = np.exp(rng.uniform(np.log(ratio[0]), np.log(ratio[1])))
+            crop_w = int(round(np.sqrt(target_area * aspect)))
+            crop_h = int(round(np.sqrt(target_area / aspect)))
+            if 0 < crop_w <= w and 0 < crop_h <= h:
+                top = rng.integers(0, h - crop_h + 1)
+                left = rng.integers(0, w - crop_w + 1)
+                patch = image[:, top : top + crop_h, left : left + crop_w]
+                return resize_bilinear_reference(patch, h, w)
+        return image.copy()
+
+    return crop
+
+
+def flip_reference(p=0.5):
+    def flip(image, rng):
+        if rng.random() < p:
+            return image[:, :, ::-1].copy()
+        return image
+
+    return flip
+
+
+def jitter_reference(brightness=0.4, contrast=0.4, saturation=0.4):
+    def jitter(image, rng):
+        out = image.astype(np.float32)
+        if brightness:
+            out = out * (1.0 + rng.uniform(-brightness, brightness))
+        if contrast:
+            factor = 1.0 + rng.uniform(-contrast, contrast)
+            mean = out.mean()
+            out = (out - mean) * factor + mean
+        if saturation:
+            factor = 1.0 + rng.uniform(-saturation, saturation)
+            gray = out.mean(axis=0, keepdims=True)
+            out = gray + (out - gray) * factor
+        return np.clip(out, 0.0, 1.0)
+
+    return jitter
+
+
+def grayscale_reference(p=0.2):
+    def grayscale(image, rng):
+        if rng.random() < p:
+            gray = image.mean(axis=0, keepdims=True)
+            return np.repeat(gray, image.shape[0], axis=0)
+        return image
+
+    return grayscale
+
+
+def blur_reference(sigma=(0.1, 1.0), p=0.5):
+    def blur(image, rng):
+        if rng.random() >= p:
+            return image
+        s = rng.uniform(*sigma)
+        radius = max(1, int(2 * s))
+        offsets = np.arange(-radius, radius + 1)
+        kernel = np.exp(-(offsets**2) / (2 * s**2))
+        kernel /= kernel.sum()
+        padded = np.pad(image, ((0, 0), (radius, radius), (0, 0)), mode="edge")
+        out = np.zeros_like(image)
+        for i, k in enumerate(kernel):
+            out += k * padded[:, i : i + image.shape[1], :]
+        padded = np.pad(out, ((0, 0), (0, 0), (radius, radius)), mode="edge")
+        final = np.zeros_like(image)
+        for i, k in enumerate(kernel):
+            final += k * padded[:, :, i : i + image.shape[2]]
+        return final
+
+    return blur
+
+
+def noise_reference(std=0.02):
+    def noise(image, rng):
+        if std == 0:
+            return image
+        noisy = image + rng.normal(0, std, size=image.shape)
+        return np.clip(noisy, 0.0, 1.0).astype(np.float32)
+
+    return noise
+
+
+def cutout_reference(size_fraction=0.25, p=0.5):
+    def cutout(image, rng):
+        if rng.random() >= p:
+            return image
+        c, h, w = image.shape
+        ch = max(1, int(h * size_fraction))
+        cw = max(1, int(w * size_fraction))
+        top = rng.integers(0, h - ch + 1)
+        left = rng.integers(0, w - cw + 1)
+        out = image.copy()
+        out[:, top : top + ch, left : left + cw] = 0.0
+        return out
+
+    return cutout
+
+
+def compose_reference(ops):
+    def pipeline(image, rng):
+        for op in ops:
+            image = op(image, rng)
+        return image
+
+    return pipeline
+
+
+def two_view_reference(transform):
+    return lambda image, rng: (transform(image, rng), transform(image, rng))
+
+
+def simclr_reference(strength=1.0):
+    """The SimCLR recipe of :func:`repro.data.simclr_augmentations`."""
+    return compose_reference([
+        crop_reference(scale=(max(0.2, 1.0 - 0.6 * strength), 1.0)),
+        flip_reference(),
+        jitter_reference(0.4 * strength, 0.4 * strength, 0.4 * strength),
+        grayscale_reference(p=0.2 * strength),
+        blur_reference(p=0.3 * strength),
+    ])

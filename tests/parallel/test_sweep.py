@@ -4,7 +4,13 @@ import pathlib
 
 import pytest
 
-from repro.parallel import SweepExecutor, SweepJob
+from repro.parallel import SweepExecutor, SweepJob, available_backends
+from repro.parallel import sweep as sweep_module
+from repro.parallel.blas import blas_thread_setter, blas_threads
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in available_backends(), reason="process backend needs fork"
+)
 
 
 # Module-level so the process backend can pickle them.
@@ -18,6 +24,10 @@ def record_dir(telemetry_dir=None):
 
 def explode(telemetry_dir=None):
     raise RuntimeError("boom")
+
+
+def worker_blas_threads(telemetry_dir=None):
+    return blas_threads()
 
 
 def three_jobs():
@@ -113,3 +123,28 @@ class TestValidation:
 
     def test_auto_single_worker_is_serial(self):
         assert SweepExecutor(max_workers=1).backend == "serial"
+
+
+@needs_fork
+class TestBlasThreads:
+    def test_process_workers_run_one_blas_thread(self):
+        setter = blas_thread_setter()
+        before = blas_threads()
+        if setter is None or before is None:
+            pytest.skip("numpy's OpenBLAS exports no thread getter/setter")
+        setter(2)  # workers fork from a parent with more than one
+        try:
+            result = SweepExecutor(max_workers=2, backend="process").run(
+                [SweepJob(f"job {i}", worker_blas_threads) for i in range(2)]
+            )
+        finally:
+            setter(before)
+        assert result.raise_failures().values() == {"job 0": 1, "job 1": 1}
+
+    def test_missing_setter_warns_and_still_runs(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "blas_thread_setter", lambda: None)
+        with pytest.warns(RuntimeWarning, match="set_num_threads"):
+            result = SweepExecutor(max_workers=2, backend="process").run(
+                [SweepJob("job", double, {"x": 4})]
+            )
+        assert result.raise_failures().values() == {"job": 8}
