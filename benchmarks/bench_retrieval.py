@@ -18,8 +18,10 @@ oracle:
 - ``ivf_binary``    — the same cells with raw packed binary codes.
 
 A ``sweep`` section records the recall-vs-QPS trade curves (``nprobe``
-for IVF, shortlist width for rerank).  Writes ``BENCH_retrieval.json``
-at the repo root::
+for IVF, shortlist width for rerank).  Every ``binary_rerank`` row also
+splits its fastest run into per-query ``scan_ms`` and ``rerank_ms``
+(``IVFIndex.search_stats``).  Writes ``BENCH_retrieval.json`` at the
+repo root::
 
     PYTHONPATH=src python benchmarks/bench_retrieval.py           # full, 1M
     PYTHONPATH=src python benchmarks/bench_retrieval.py --quick   # CI smoke
@@ -37,6 +39,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.nn.rng import derive_rng
+from repro.parallel.blas import blas_threads
 from repro.retrieval import (
     BinaryQuantizer,
     IVFIndex,
@@ -103,7 +106,8 @@ def exact_topk_blocked(queries: np.ndarray, corpus: np.ndarray,
 
 
 def timed_search(fn, queries: np.ndarray, repeats: int) -> Tuple[float, object]:
-    """Best-of-``repeats`` QPS for a batched search callable.
+    """Best-of-``repeats`` QPS for a batched search callable, with the
+    fastest repeat's result.
 
     A small untimed warmup call first: the initial search pays one-off
     page-fault/scratch-allocation costs that would otherwise dominate
@@ -114,9 +118,17 @@ def timed_search(fn, queries: np.ndarray, repeats: int) -> Tuple[float, object]:
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        result = fn(queries)
-        best = min(best, time.perf_counter() - started)
+        out = fn(queries)
+        elapsed = time.perf_counter() - started
+        if elapsed < best:
+            best, result = elapsed, out
     return queries.shape[0] / best, result
+
+
+def split_ms(stats: Dict[str, float], n_queries: int) -> Dict[str, float]:
+    """Per-query scan and rerank milliseconds of one ``search_stats`` call."""
+    return {f"{part}_ms": round(stats[f"{part}_s"] / n_queries * 1e3, 4)
+            for part in ("scan", "rerank")}
 
 
 def add_chunked(index, corpus: np.ndarray) -> None:
@@ -195,13 +207,15 @@ def main(argv: List[str] | None = None) -> int:
     print(f"binary        qps={binary_qps:10.1f} "
           f"recall@10={report['binary']['recall_at_10']:.3f}")
 
-    rr_qps, (ids, _) = timed_search(
-        lambda q: binary_index.search(q, K, rerank=RERANK), queries, repeats)
+    rr_qps, (ids, _, stats) = timed_search(
+        lambda q: binary_index.search_stats(q, K, rerank=RERANK), queries,
+        repeats)
     wide_ids, _ = binary_index.search(queries, 100, rerank=RERANK)
     report["binary_rerank"] = {
         "qps": round(rr_qps, 2),
         "build_s": round(binary_build_s, 3),
         "rerank": RERANK,
+        **split_ms(stats, n_queries),
         **quality(ids, wide_ids, oracle_ids),
         # packed codes + id + the retained float32 rows
         "bytes_per_item": binary_quantizer.words * 8 + 8 + DIM * 4,
@@ -211,12 +225,13 @@ def main(argv: List[str] | None = None) -> int:
     sweep["binary_rerank"] = []
     for width in rerank_sweep:
         width = min(width, n_items)
-        sweep_qps, (ids, _) = timed_search(
-            lambda q, w=width: binary_index.search(q, K, rerank=w),
+        sweep_qps, (ids, _, stats) = timed_search(
+            lambda q, w=width: binary_index.search_stats(q, K, rerank=w),
             queries, 1)
         sweep["binary_rerank"].append({
             "rerank": width,
             "qps": round(sweep_qps, 2),
+            **split_ms(stats, n_queries),
             "recall_at_10": round(recall_at_k(ids, oracle_ids, K), 4),
         })
 
@@ -300,6 +315,7 @@ def main(argv: List[str] | None = None) -> int:
         "clusters": CLUSTERS,
         "train_sample": int(train.shape[0]),
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads(),
         "corpus_gen_s": round(gen_s, 3),
         "indexes": report,
         "sweep": sweep,

@@ -36,7 +36,7 @@ that probe it are scored against the cell's rows in dense tiles of at
 most ``_SCAN_PAIR_BUDGET`` (query, row) pairs, into scratch reused
 across tiles, so memory stays bounded at any corpus size or ``nprobe``.
 Every result is ranked by the package-wide ascending ``(distance, id)``
-contract through :func:`~repro.retrieval.ranking.select_smallest`.  With
+contract through :mod:`~repro.retrieval.ranking`.  With
 ``store_embeddings=True`` the index retains float32 rows and
 ``search(..., rerank=R)`` re-scores the top-``R`` shortlist exactly.
 """
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..nn.rng import derive_rng
 from .binary import BinaryQuantizer, hamming_dtype, hamming_kernel
-from .ranking import select_smallest
+from .ranking import smallest_set, sort_ascending
 from .rerank import FloatStore, rerank_exact
 from .vq import ProductQuantizer, VectorQuantizer
 
@@ -188,8 +188,10 @@ class _Shortlist:
     top ``needed``.  Once ``needed`` pairs are held, a new pair farther
     than the worst of them cannot, so it is dropped on arrival; ties
     stay, because a later tile may carry a smaller id.  The held set is
-    cut back to ``needed`` by :func:`select_smallest` whenever it
-    reaches twice that, so memory is ``O(needed + tile)``.
+    cut back to the top ``needed`` by :func:`smallest_set` whenever it
+    reaches twice that, so memory is ``O(needed + tile)``.  Cuts keep
+    no order; :meth:`result` sorts the final set only when asked, since
+    a rerank that follows re-ranks it by ``(distance, id)`` anyway.
     """
 
     __slots__ = ("needed", "dists", "ids", "held", "bound")
@@ -220,16 +222,21 @@ class _Shortlist:
         else:
             dists = np.concatenate(self.dists)
             ids = np.concatenate(self.ids)
-        keep = select_smallest(dists, self.needed, ids)
+        keep = smallest_set(dists, self.needed, ids)
         self.dists, self.ids = [dists[keep]], [ids[keep]]
         self.held = keep.size
-        self.bound = self.dists[0][-1]
+        self.bound = self.dists[0].max()
 
-    def result(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The top ``needed`` as ``(ids, distances)``, ascending."""
+    def result(self, ordered: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The top ``needed`` as ``(ids, distances)``: ascending by
+        ``(distance, id)`` if ``ordered``, else in no particular order."""
         if len(self.dists) > 1 or self.bound is None:
             self._select()
-        return self.ids[0], self.dists[0]
+        ids, dists = self.ids[0], self.dists[0]
+        if ordered:
+            order = sort_ascending(dists, np.arange(ids.size), ids)
+            ids, dists = ids[order], dists[order]
+        return ids, dists
 
 
 class IVFIndex:
@@ -599,7 +606,8 @@ class IVFIndex:
         needed = min(rerank if rerank is not None else k, size)
 
         started = time.perf_counter()
-        ids, dists, cells_probed = self._scan(queries, cells, nprobe, needed)
+        ids, dists, cells_probed = self._scan(queries, cells, nprobe, needed,
+                                              ordered=rerank is None)
         stats: Dict[str, float] = {
             "scan_s": time.perf_counter() - started,
             "rerank_s": 0.0,
@@ -616,8 +624,10 @@ class IVFIndex:
         return ids, dists, stats
 
     def _scan(self, queries: np.ndarray, cells: list, nprobe: int,
-              needed: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Top-``needed`` codes per query over its probed cells."""
+              needed: int, ordered: bool
+              ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Top-``needed`` codes per query over its probed cells, each row
+        ascending by ``(distance, id)`` if ``ordered``, else unsorted."""
         sizes = np.array([cell[3] for cell in cells], dtype=np.int64)
         coarse = self._coarse_distances(queries)
         budget = _SCAN_PAIR_BUDGET
@@ -656,5 +666,5 @@ class IVFIndex:
                         shortlists[q].offer(row, ids[span])
             for q, shortlist in enumerate(shortlists):
                 out_ids[qstart + q], out_dists[qstart + q] = \
-                    shortlist.result()
+                    shortlist.result(ordered)
         return out_ids, out_dists, cells_probed

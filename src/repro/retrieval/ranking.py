@@ -12,8 +12,11 @@ brute-force oracle.  Resolving ties by item id makes every search result
 a pure function of the stored vectors, which is what the property tests
 assert.
 
-One routine, :func:`select_smallest`, implements that order; the
-matrix helpers below, the IVF scan and the rerank stage all call it.
+Two steps implement that order: :func:`smallest_set` cuts a row to its
+``k`` smallest pairs, and :func:`sort_ascending` sorts them.
+:func:`select_smallest` runs both, for the matrix helpers below and the
+rerank stage; the IVF scan cuts with the first alone, and sorts only
+when no rerank re-ranks its shortlist anyway.
 """
 
 from __future__ import annotations
@@ -22,40 +25,54 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["select_smallest", "topk_smallest", "topk_largest", "merge_topk",
-           "rowwise_topk"]
+__all__ = ["smallest_set", "sort_ascending", "select_smallest",
+           "topk_smallest", "topk_largest", "merge_topk", "rowwise_topk"]
+
+
+def smallest_set(values: np.ndarray, k: int,
+                 ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(value, id)`` pairs of a 1-D row.
+
+    ``ids`` breaks ties; without it the position itself does.  Returns
+    ``min(k, len(values))`` positions in no particular order.  Only the
+    k-th order statistic is searched for, and the boundary tie group
+    gives up all but its smallest ids (a partition, not a sort of the
+    whole group).
+    """
+    n = values.shape[0]
+    k = min(int(k), n)
+    if k == n:
+        return np.arange(n)
+    # np.partition of the values (no index array) finds the k-th value;
+    # on Hamming counts it beats a bincount histogram 2.5-4x at every
+    # row length from 8K to 1M.
+    kth = np.partition(values, k - 1)[k - 1]
+    cand = np.flatnonzero(values <= kth)
+    if cand.size > k:
+        # Too many ties at the k-th value: keep the smallest ids.
+        tied = values[cand] == kth
+        border = cand[tied]
+        need = k - (cand.size - border.size)
+        ties = border if ids is None else ids[border]
+        border = border[np.argpartition(ties, need - 1)[:need]]
+        cand = np.concatenate([cand[~tied], border])
+    return cand
+
+
+def sort_ascending(values: np.ndarray, positions: np.ndarray,
+                   ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """``positions`` of a 1-D row sorted by ascending ``(value, id)``.
+
+    ``ids`` breaks ties; without it the position itself does.
+    """
+    keys = positions if ids is None else ids[positions]
+    return positions[np.lexsort((keys, values[positions]))]
 
 
 def select_smallest(values: np.ndarray, k: int,
                     ids: Optional[np.ndarray] = None) -> np.ndarray:
-    """Positions of the ``k`` smallest ``(value, id)`` pairs of a 1-D row.
-
-    ``ids`` breaks ties; without it the position itself does.  Returns
-    ``min(k, len(values))`` positions sorted by the same order.  Only the
-    k-th order statistic is searched for; the candidates up to it are
-    sorted, after the boundary tie group has given up all but its
-    smallest ids (a partition, not a sort of the whole group).
-    """
-    n = values.shape[0]
-    k = min(int(k), n)
-    if k < n:
-        # np.partition of the values (no index array) finds the k-th
-        # value; on Hamming counts it beats a bincount histogram 2.5-4x
-        # at every row length from 8K to 1M.
-        kth = np.partition(values, k - 1)[k - 1]
-        cand = np.flatnonzero(values <= kth)
-        if cand.size > k:
-            # Too many ties at the k-th value: keep the smallest ids.
-            tied = values[cand] == kth
-            border = cand[tied]
-            need = k - (cand.size - border.size)
-            ties = border if ids is None else ids[border]
-            border = border[np.argpartition(ties, need - 1)[:need]]
-            cand = np.concatenate([cand[~tied], border])
-    else:
-        cand = np.arange(n)
-    keys = cand if ids is None else ids[cand]
-    return cand[np.lexsort((keys, values[cand]))]
+    """:func:`smallest_set`, sorted by the same ``(value, id)`` order."""
+    return sort_ascending(values, smallest_set(values, k, ids), ids)
 
 
 def _check_k(n: int, k: int) -> None:

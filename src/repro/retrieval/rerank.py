@@ -13,6 +13,14 @@ when constructed with ``store_embeddings=True`` — append-only float32
 rows in id order, thread-safe under the same snapshot discipline as the
 code arrays (rows below the published size are frozen, so concurrent
 ``add()`` never tears a rerank).
+
+:func:`rerank_exact` gathers the shortlists block by block into one
+scratch reused across blocks.  A block holds at most ``query_block``
+queries and ``_RERANK_BLOCK_BYTES`` of rows (one query at ``R=4000``,
+64-d), so its rows are summed while still in cache and peak memory never
+grows with the query count.  Results depend neither on the blocking nor
+on the shortlist's order: each row's distance is the same float32
+arithmetic, and the top-k is cut by ``(distance, id)``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,19 @@ from .ranking import rowwise_topk
 __all__ = ["FloatStore", "rerank_exact"]
 
 _METRICS = ("l2", "ip")
+
+# Cap on the float32 bytes one rerank block gathers (or one query's
+# shortlist, if larger); the rerank's counterpart of ivf's
+# _SCAN_PAIR_BUDGET, sized to stay in a core's L2 cache.
+_RERANK_BLOCK_BYTES = 1 << 20
+
+
+def _check_ids(ids: np.ndarray, size: int) -> None:
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= size):
+        raise ValueError(
+            f"ids must be in [0, {size}), got range "
+            f"[{ids.min()}, {ids.max()}]"
+        )
 
 
 class FloatStore:
@@ -77,11 +98,7 @@ class FloatStore:
         """Float32 rows at ``ids`` (any shape; appended leading axes kept)."""
         ids = np.asarray(ids, dtype=np.int64)
         rows, size = self.snapshot()
-        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= size):
-            raise ValueError(
-                f"ids must be in [0, {size}), got range "
-                f"[{ids.min()}, {ids.max()}]"
-            )
+        _check_ids(ids, size)
         return rows[ids]
 
 
@@ -110,21 +127,30 @@ def rerank_exact(store: FloatStore, queries: np.ndarray,
             f"shortlist must have shape ({queries.shape[0]}, R), got "
             f"{shortlist_ids.shape}"
         )
-    out_ids = np.empty((queries.shape[0], min(k, shortlist_ids.shape[1])),
-                       dtype=np.int64)
+    if query_block < 1:
+        raise ValueError(f"query_block must be >= 1, got {query_block}")
+    rows, size = store.snapshot()  # rows below size never change
+    _check_ids(shortlist_ids, size)
+    count, width = shortlist_ids.shape
+    out_ids = np.empty((count, min(k, width)), dtype=np.int64)
     out_dists = np.empty(out_ids.shape, dtype=np.float32)
-    # Blocked over queries: the (block, R, dim) gather is the only
-    # intermediate, so peak memory never depends on the query count.
-    for start in range(0, queries.shape[0], query_block):
-        block_ids = shortlist_ids[start:start + query_block]
-        block_q = queries[start:start + query_block]
-        vectors = store.gather(block_ids)  # (b, R, dim) float32
+    query_bytes = max(1, width * store.dim * 4)
+    block = max(1, min(query_block, _RERANK_BLOCK_BYTES // query_bytes))
+    scratch = np.empty((min(block, count), width, store.dim),
+                       dtype=np.float32)
+    for start in range(0, count, block):
+        block_ids = shortlist_ids[start:start + block]
+        block_q = queries[start:start + block]
+        vectors = scratch[:block_ids.shape[0]]
+        # mode="clip" skips take's buffered copy of out; every id was
+        # range-checked above.
+        np.take(rows, block_ids, axis=0, out=vectors, mode="clip")
         if metric == "l2":
-            delta = vectors - block_q[:, None, :]
-            dists = np.einsum("qrd,qrd->qr", delta, delta)
+            np.subtract(vectors, block_q[:, None, :], out=vectors)
+            dists = np.einsum("qrd,qrd->qr", vectors, vectors)
         else:
             dists = -np.einsum("qrd,qd->qr", vectors, block_q)
         ids, top = rowwise_topk(block_ids, dists, k)
-        out_ids[start:start + query_block] = ids
-        out_dists[start:start + query_block] = top
+        out_ids[start:start + block] = ids
+        out_dists[start:start + block] = top
     return out_ids, out_dists

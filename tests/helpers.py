@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.retrieval import rowwise_topk
 
 
 def numerical_gradients(
@@ -338,3 +339,31 @@ def simclr_reference(strength=1.0):
         grayscale_reference(p=0.2 * strength),
         blur_reference(p=0.3 * strength),
     ])
+
+
+# -- retrieval references -------------------------------------------------------
+# rerank_exact as it ran before each block of shortlists shared one reused
+# scratch, kept verbatim as its reference: a fresh (block, R, dim) gather and a
+# fresh difference array per query_block queries.
+
+
+def rerank_reference(store, queries, shortlist_ids, k, *, metric="l2",
+                     query_block=32):
+    queries = np.asarray(queries, dtype=np.float32)
+    shortlist_ids = np.asarray(shortlist_ids, dtype=np.int64)
+    out_ids = np.empty((queries.shape[0], min(k, shortlist_ids.shape[1])),
+                       dtype=np.int64)
+    out_dists = np.empty(out_ids.shape, dtype=np.float32)
+    for start in range(0, queries.shape[0], query_block):
+        block_ids = shortlist_ids[start:start + query_block]
+        block_q = queries[start:start + query_block]
+        vectors = store.gather(block_ids)  # (b, R, dim) float32
+        if metric == "l2":
+            delta = vectors - block_q[:, None, :]
+            dists = np.einsum("qrd,qrd->qr", delta, delta)
+        else:
+            dists = -np.einsum("qrd,qd->qr", vectors, block_q)
+        ids, top = rowwise_topk(block_ids, dists, k)
+        out_ids[start:start + query_block] = ids
+        out_dists[start:start + query_block] = top
+    return out_ids, out_dists
