@@ -2,7 +2,7 @@
 
 Times :class:`~repro.contrastive.ContrastiveQuantTrainer` steps with the
 tracing executor on (``engine="trace"`` — record one eager step, compile
-it into a fused :class:`~repro.engine.Plan`, replay it)
+it into a :class:`~repro.engine.Plan`, replay it)
 against the fused eager engine (``engine="eager"`` — the previous
 default: view fusion + quant-weight cache, every step through Python
 dispatch).  Both trainers share seeds, so they sample identical
@@ -23,8 +23,6 @@ Writes ``BENCH_engine.json`` at the repo root::
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import pathlib
@@ -36,6 +34,7 @@ import numpy as np
 from repro.contrastive import ContrastiveQuantTrainer, CQVariant, SimCLRModel
 from repro.models import resnet18
 from repro.nn.optim import Adam
+from repro.parallel.blas import blas_threads
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
@@ -46,29 +45,6 @@ IMAGE_SIZE = 8
 WIDTH = 0.0625
 
 ENGINES = ("trace", "eager")
-
-
-def _blas_threads() -> Optional[int]:
-    """OpenBLAS thread count from the library numpy loaded, if found.
-
-    The same ctypes lookup as ``perfbench/common.py``'s ``_blas_threads``.
-    """
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = []
-                return int(getter())
-    return None
 
 
 def make_trainer(variant: CQVariant, engine: str) -> ContrastiveQuantTrainer:
@@ -200,7 +176,7 @@ def run(steps: int, warmup: int, batch: int,
             "warmup": warmup,
             "repeats": repeats,
             "cpu_count": os.cpu_count(),
-            "blas_threads": _blas_threads(),
+            "blas_threads": blas_threads(),
         },
         "variants": results,
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ import numpy as np
 from repro.contrastive import ContrastiveQuantTrainer, CQVariant, SimCLRModel
 from repro.models import resnet18
 from repro.nn.optim import Adam
+from repro.parallel.blas import blas_threads
 from repro.quant import count_quantized_modules
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -177,6 +179,8 @@ def run(steps: int, warmup: int, batch: int,
             "steps": steps,
             "warmup": warmup,
             "repeats": repeats,
+            "cpu_count": os.cpu_count(),
+            "blas_threads": blas_threads(),
         },
         "variants": results,
     }

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import pathlib
 import time
 from typing import Dict, List
@@ -32,6 +33,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.models import resnet18
+from repro.parallel.blas import blas_threads
 from repro.quant import calibrate, convert, freeze_reference, prepare
 from repro.serving import (
     EmbeddingCache,
@@ -122,6 +124,8 @@ def main(argv: List[str] | None = None) -> int:
         "bits": BITS,
         "image_size": IMAGE_SIZE,
         "width_multiplier": WIDTH,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads(),
         "convert_s": round(engines["convert_s"], 4),
         "requests": requests,
         "concurrency": concurrency,

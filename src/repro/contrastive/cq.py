@@ -141,10 +141,10 @@ class ContrastiveQuantTrainer(TrainerBase):
     engine:
         ``"trace"`` (default) records the first eager step per plan
         signature into a :class:`repro.engine.ExecutionEngine` plan and
-        replays it on subsequent steps — byte-identical to eager, with
-        fused elementwise chains and each op's own kernels.  Steps the
-        engine cannot prove replayable (batch-statistics layers, active
-        range observers) fall back to eager automatically.  ``"eager"``
+        replays it on subsequent steps — the ops eager ran, each on its
+        own kernel, so byte-identical to eager.  Steps the engine cannot
+        prove replayable (batch-statistics layers, active range
+        observers) fall back to eager automatically.  ``"eager"``
         disables tracing entirely.
     """
 

@@ -2,12 +2,12 @@
 
 The engine records a single eager training or serving step into a
 :class:`~repro.engine.graph.Graph` (via a ``Function.apply`` hook),
-compiles it into a :class:`~repro.engine.plan.Plan` — fusing elementwise
-chains — and replays the plan on subsequent steps.  A replay re-runs each
-recorded op's own ``forward`` and ``backward``, so it is byte-identical
-to eager execution by construction; anything the tracer or compiler
-cannot prove replayable falls back to eager, permanently for that
-signature.
+compiles it into a :class:`~repro.engine.plan.Plan` and replays the plan
+on subsequent steps.  A plan's records are the eager step's ops, one for
+one and in order, and a replay re-runs each one's own ``forward`` and
+``backward``, so it is byte-identical to eager execution by
+construction; anything the tracer or compiler cannot prove replayable
+falls back to eager, permanently for that signature.
 
 :func:`run_backward` is the sanctioned eager entry to the autograd tape
 outside :mod:`repro.nn` (lint rule RPR008).

@@ -98,8 +98,9 @@ class ExecutionEngine:
     def invalidate(self) -> None:
         """Drop all compiled plans; known signatures retrace on next use.
 
-        Called on precision-context changes and ``load_state_dict`` —
-        anything that may silently change traced topology or constants.
+        ``ContrastiveQuantTrainer.finalize()`` calls it (the encoder
+        returns to full precision), and so does every trainer's
+        ``load_state_dict()`` (restored values replace traced constants).
         """
         self._plans.clear()
 

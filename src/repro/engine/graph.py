@@ -125,18 +125,18 @@ class Record:
 
     ``ctx`` is the live Function instance created during the traced step;
     replays re-run ``ctx.forward`` (overwriting its saved state) and, for
-    grad-carrying nodes, ``ctx.backward`` in the captured schedule.
+    grad-carrying nodes, the op class's ``backward`` on ``ctx`` in the
+    captured schedule.
     """
 
-    __slots__ = ("op", "ctx", "args", "kwargs", "out", "requires_grad")
+    __slots__ = ("op", "ctx", "args", "kwargs", "out")
 
-    def __init__(self, op, ctx, args, kwargs, out, requires_grad) -> None:
+    def __init__(self, op, ctx, args, kwargs, out) -> None:
         self.op = op
         self.ctx = ctx
         self.args: Tuple[Any, ...] = args
         self.kwargs: Dict[str, Any] = kwargs
         self.out = out  # the Tensor produced during the trace
-        self.requires_grad: bool = requires_grad
 
     def __repr__(self) -> str:
         return f"Record({self.op.__name__}, args={self.args})"

@@ -95,9 +95,7 @@ class Tracer:
             self._error = exc
             return
         index = len(self._records)
-        self._records.append(
-            Record(op, ctx, args, kw, out, out._ctx is not None)
-        )
+        self._records.append(Record(op, ctx, args, kw, out))
         self._slots[id(out)] = index
         self._data_slots[id(out.data)] = index
 

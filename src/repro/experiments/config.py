@@ -56,9 +56,9 @@ class PretrainConfig:
     #: BatchNorm configurations are unaffected.
     fuse_views: bool = True
     #: step execution path: "trace" records one eager step per plan
-    #: signature into a replayable plan (fused elementwise chains,
-    #: each op's own kernels; byte-identical to eager, with automatic
-    #: eager fallback for untraceable steps), "eager" disables tracing.
+    #: signature into a replayable plan (the ops eager ran, each on its
+    #: own kernel; byte-identical to eager, with automatic eager
+    #: fallback for untraceable steps), "eager" disables tracing.
     engine: str = "trace"
     #: shapecheck the assembled model against the training data shape
     #: before fit() — a misconfigured encoder/head combination fails

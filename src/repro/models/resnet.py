@@ -92,7 +92,7 @@ class BasicBlock(nn.Module):
     def forward(self, x):
         out = F.relu(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
-        return F.relu(out + self.shortcut(x))
+        return F.add_relu(out, self.shortcut(x))
 
 
 class ResNet(nn.Module):

@@ -187,6 +187,28 @@ class Relu(Function):
         return (grad * self.mask,)
 
 
+class AddRelu(Function):
+    """``relu(a + b)``: the residual join and activation as one op.
+
+    Byte-equal to ``Relu(Add(a, b))``, forward and input gradients: the
+    same sum, the same ``> 0`` mask, and the mask's product unbroadcast
+    to each operand's shape.
+    """
+
+    def forward(self, a, b):
+        self.a_shape, self.b_shape = np.shape(a), np.shape(b)
+        s = a + b
+        self.mask = s > 0
+        return s * self.mask
+
+    def backward(self, grad):
+        g = grad * self.mask
+        grads = [unbroadcast(g, self.a_shape)]
+        if len(self.parents) > 1:
+            grads.append(unbroadcast(g, self.b_shape))
+        return tuple(grads)
+
+
 class Relu6(Function):
     def forward(self, a):
         self.mask = (a > 0) & (a < 6.0)

@@ -27,7 +27,7 @@ __all__ = [
     "reshape", "flatten", "transpose", "getitem", "concat", "stack", "pad",
     "broadcast_to", "softmax", "log_softmax", "conv2d", "max_pool2d",
     "avg_pool2d", "global_avg_pool2d", "normalize", "cosine_similarity",
-    "dropout", "squeeze", "unsqueeze",
+    "dropout", "squeeze", "unsqueeze", "add_relu",
 ]
 
 _IntPair = Union[int, Tuple[int, int]]
@@ -97,6 +97,11 @@ def identity(a):
 
 def relu(a):
     return _ew.Relu.apply(as_tensor(a))
+
+
+def add_relu(a, b):
+    """``relu(a + b)`` as one op, byte-equal to ``relu(add(a, b))``."""
+    return _ew.AddRelu.apply(as_tensor(a), b)
 
 
 def relu6(a):

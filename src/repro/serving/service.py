@@ -102,10 +102,10 @@ class EmbeddingService:
         ``model=<model_name>``.
     engine:
         ``"trace"`` (default) compiles one forward plan per (model
-        version, batch shape) and replays it — elementwise chains are
-        fused, and a ``Parameter.version`` bump (in-place republish of
-        live weights) retraces automatically.  ``"eager"`` runs every
-        forward through the module graph.
+        version, batch shape) and replays it — the ops an eager forward
+        runs, each on its own kernel — and a ``Parameter.version`` bump
+        (in-place republish of live weights) retraces automatically.
+        ``"eager"`` runs every forward through the module graph.
     """
 
     def __init__(

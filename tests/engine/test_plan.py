@@ -1,4 +1,4 @@
-"""Plan compilation: fusion, replay fidelity, rebinding, output escape."""
+"""Plan compilation: replay fidelity, rebinding, output escape."""
 
 import numpy as np
 import pytest
@@ -24,48 +24,6 @@ def arr(shape, seed):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
 
 
-def op_names(plan):
-    return [r.op.__name__ for r in plan.records]
-
-
-# -- fusion ------------------------------------------------------------------
-
-def test_add_relu_fuses_without_leading_mul():
-    b = Parameter(arr((2, 3), 2))
-
-    def fn(x):
-        return F.relu(F.add(x, b)), {}
-
-    plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 3), 0))}),
-                        training=False)
-    assert op_names(plan) == ["FusedAddRelu"]
-
-
-def test_multi_consumer_intermediate_is_not_fused():
-    b = Parameter(arr((2, 3), 2))
-
-    def fn(x):
-        y = F.add(x, b)
-        z = F.relu(y)
-        return F.add(z, y), {}  # y has two consumers: Add must survive
-
-    plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 3), 0))}),
-                        training=False)
-    assert op_names(plan) == ["Add", "Relu", "Add"]
-
-
-def test_fuse_false_keeps_primitive_records():
-    a = Parameter(arr((2, 3), 1))
-    b = Parameter(arr((2, 3), 2))
-
-    def fn(x):
-        return F.relu(F.add(F.mul(x, a), b)), {}
-
-    plan = compile_plan(trace(fn, {"x": Tensor(arr((2, 3), 0))}),
-                        training=False, fuse=False)
-    assert op_names(plan) == ["Mul", "Add", "Relu"]
-
-
 # -- replay fidelity ---------------------------------------------------------
 
 def eager_outputs(fn, arrays):
@@ -73,8 +31,7 @@ def eager_outputs(fn, arrays):
     return root.data, {k: t.data for k, t in taps.items()}
 
 
-@pytest.mark.parametrize("fuse", [True, False])
-def test_inference_replay_is_byte_identical_to_eager(fuse):
+def test_inference_replay_is_byte_identical_to_eager():
     a = Parameter(arr((4, 5), 1))
     b = Parameter(arr((4, 5), 2))
 
@@ -83,7 +40,7 @@ def test_inference_replay_is_byte_identical_to_eager(fuse):
         return F.mean(y), {"features": y}
 
     graph = trace(fn, {"x": Tensor(arr((4, 5), 0))})
-    plan = compile_plan(graph, training=False, fuse=fuse)
+    plan = compile_plan(graph, training=False)
 
     for seed in (7, 8, 9):
         fresh = {"x": arr((4, 5), seed)}

@@ -118,6 +118,17 @@ def conv2d_reference(x, weight, bias, stride, padding, groups=1):
     return out
 
 
+# -- residual join reference --------------------------------------------------
+# The two tape ops BasicBlock ran for its residual join and activation before
+# they became one op (repro.nn._ops.elementwise.AddRelu), kept as its
+# reference: autograd derives the gradients through Relu, then Add.
+
+
+def add_relu_reference(a, b):
+    """``relu(a + b)`` as ``Add`` then ``Relu``."""
+    return F.relu(F.add(a, b))
+
+
 # -- normalization references -------------------------------------------------
 # The composites the normalization layers ran before each became one op
 # (repro.nn._ops.norm.Normalize), kept verbatim as its reference: every

@@ -21,7 +21,6 @@ import pytest
 from repro.nn._ops import (
     conv as ops_conv,
     elementwise as ops_elementwise,
-    fused as ops_fused,
     matmul as ops_matmul,
     norm as ops_norm,
     pool as ops_pool,
@@ -36,7 +35,6 @@ from ..helpers import gradcheck, tensor64
 OP_MODULES = (
     ops_conv,
     ops_elementwise,
-    ops_fused,
     ops_matmul,
     ops_norm,
     ops_pool,
@@ -153,8 +151,8 @@ SPECS = {
     ),
     "Sigmoid": lambda: ((normal((2, 3), 23),), {}),
     "Tanh": lambda: ((normal((2, 3), 24),), {}),
-    # fused add -> relu (engine plan compiler)
-    "FusedAddRelu": lambda: (
+    # the residual join and activation (BasicBlock)
+    "AddRelu": lambda: (
         # b = target - a, so a + b lands in +-[0.5, 1.5]: no kink ties.
         (normal((2, 3), 63),
          tensor64(away_from_zero((2, 3), 0.5, 64).data

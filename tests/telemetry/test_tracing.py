@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionEngine, run_backward
 from repro.nn.autograd import Function
+from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
 from repro.telemetry import MetricsRegistry, OpProfiler, Timer, profile, span
 
@@ -104,6 +106,29 @@ class TestProfile:
         calls_inside = prof.stats["MatMul"].calls
         small_graph_step()  # outside: must not be recorded
         assert prof.stats["MatMul"].calls == calls_inside
+
+    def test_plan_traced_in_block_feeds_no_stats_after_exit(self):
+        # The trace step runs inside the block, so its ops carry the
+        # profiler's backward shim; replays after the block must not.
+        w = Parameter(np.eye(4, dtype=np.float32))
+        x = Tensor(np.ones((2, 4), dtype=np.float32))
+        engine = ExecutionEngine(training=True)
+
+        def step():
+            loss = ((x @ w) * 2.0).sum()
+            run_backward(loss)
+            return loss, {}
+
+        def snapshot(prof):
+            return {name: s.as_dict() for name, s in prof.stats.items()}
+
+        with profile() as prof:
+            engine.execute("step", {"x": x}, None, step)
+        held = snapshot(prof)
+        assert held["MatMul"]["backward_calls"] == 1
+        for _ in range(3):
+            assert engine.execute("step", {"x": x}, None, step).replayed
+        assert snapshot(prof) == held
 
     def test_nested_install_rejected(self):
         with profile():
