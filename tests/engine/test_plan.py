@@ -31,12 +31,15 @@ def eager_outputs(fn, arrays):
     return root.data, {k: t.data for k, t in taps.items()}
 
 
-def test_inference_replay_is_byte_identical_to_eager():
+@pytest.mark.parametrize("joined", [True, False])
+def test_inference_replay_is_byte_identical_to_eager(joined):
+    # joined: the sum and relu run as one AddRelu op, else as Add then Relu.
     a = Parameter(arr((4, 5), 1))
     b = Parameter(arr((4, 5), 2))
 
     def fn(x):
-        y = F.relu(F.add(F.mul(x, a), b))
+        ax = F.mul(x, a)
+        y = F.add_relu(ax, b) if joined else F.relu(F.add(ax, b))
         return F.mean(y), {"features": y}
 
     graph = trace(fn, {"x": Tensor(arr((4, 5), 0))})
