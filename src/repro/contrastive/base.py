@@ -12,9 +12,16 @@ and gains the same contract:
 - a per-trainer :class:`repro.telemetry.MetricsRegistry` (``metrics``)
   recording step loss, epoch loss, and step/image counters.
 
-Subclasses implement ``train_step(view1, view2) -> float`` and may
-override :meth:`step_info` to enrich the ``on_step`` payload (the CQ
-trainer adds the sampled precision pair and per-term losses).
+:class:`TrainerBase` also runs the eager optimizer step
+(``zero_grad`` → ``compute_loss`` → ``run_backward`` → ``step`` →
+``_after_step``) and checkpoints ``self.rng`` when the trainer has one.
+Subclasses implement ``compute_loss(view1, view2) -> Tensor``, plus
+``_after_step`` where a step has follow-up work (BYOL's EMA target,
+MoCo's key encoder and queue), and may override :meth:`step_info` to
+enrich the ``on_step`` payload (the CQ trainer adds the sampled
+precision pair and per-term losses).  Trainers whose step is not one
+eager backward override ``train_step`` itself (the CQ trainer routes
+it through the execution engine; ``VQTrainer`` updates codebooks).
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine import run_backward
+from ..nn.tensor import Tensor
 from ..telemetry import EventBus, MetricsRegistry
 
 __all__ = ["TrainerBase"]
@@ -44,15 +53,26 @@ class TrainerBase:
         # state when a CheckpointCallback fires at an epoch boundary.
         self._active_loader = None
         self._active_scheduler = None
-        # Loader-RNG / loader / scheduler state loaded from a checkpoint
-        # before the owning fit() call made those objects known.
-        self._pending_loader_rng = None
+        # Loader / scheduler state loaded from a checkpoint before the
+        # owning fit() call made those objects known.
         self._pending_loader_state = None
         self._pending_scheduler_state = None
 
     # -- hooks for subclasses ----------------------------------------------
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
+    def compute_loss(self, view1: np.ndarray, view2: np.ndarray) -> Tensor:
         raise NotImplementedError
+
+    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
+        """One eager optimizer step on a batch of view pairs."""
+        self.optimizer.zero_grad()
+        loss = self.compute_loss(view1, view2)
+        run_backward(loss)
+        self.optimizer.step()
+        self._after_step()
+        return float(loss.data)
+
+    def _after_step(self) -> None:
+        """Per-step work that must follow ``optimizer.step()``."""
 
     def _training_module(self):
         """The module whose ``train()`` mode gates an epoch."""
@@ -69,14 +89,24 @@ class TrainerBase:
     def _aux_state(self) -> Dict[str, object]:
         """Trainer-specific auxiliary state beyond model/optimizer.
 
-        Overridden by trainers owning extra randomness or schedules (the
-        CQ trainer's precision sampler, MoCo/SimSiam's view-shuffling
-        RNG).  Must return a JSON-friendly tree (numpy arrays allowed).
+        The trainer's own generator (``self.rng``, e.g. the precision or
+        noise-level sampler) when it has one; trainers with more state
+        extend this tree.  Must be JSON-friendly (numpy arrays allowed).
         """
-        return {}
+        rng = getattr(self, "rng", None)
+        if rng is None:
+            return {}
+        from ..checkpoint import get_rng_state
+
+        return {"rng": get_rng_state(rng)}
 
     def _load_aux_state(self, aux: Dict[str, object]) -> None:
         """Restore the tree produced by :meth:`_aux_state`."""
+        rng = getattr(self, "rng", None)
+        if rng is not None and "rng" in aux:
+            from ..checkpoint import set_rng_state
+
+            set_rng_state(rng, aux["rng"])
 
     # -- checkpoint state --------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -84,12 +114,10 @@ class TrainerBase:
 
         Captures model parameters/buffers (including EMA targets and
         queues registered as submodules/buffers), optimizer slots, the
-        scheduler position and loader RNG of an in-flight ``fit()``, the
-        full metrics registry, loss history, the global step counter,
-        and trainer-specific auxiliary state.
+        scheduler position and loader state of an in-flight ``fit()``,
+        the full metrics registry, loss history, the global step
+        counter, and trainer-specific auxiliary state.
         """
-        from ..checkpoint import get_rng_state
-
         state: Dict[str, object] = {
             "format": TRAINER_STATE_FORMAT,
             "trainer": type(self).__name__,
@@ -110,12 +138,9 @@ class TrainerBase:
             state["optimizer"] = optimizer.state_dict()
         if self._active_scheduler is not None:
             state["scheduler"] = self._active_scheduler.state_dict()
-        loader_rng = getattr(self._active_loader, "rng", None)
-        if loader_rng is not None:
-            state["loader_rng"] = get_rng_state(loader_rng)
-        # Loaders with their own state (the order-independent seeded
-        # DataLoader's epoch counter, proxied by PrefetchLoader) join the
-        # checkpoint so prefetched runs resume bit-exactly too.
+        # The loader's own state (the seeded DataLoader's epoch counter,
+        # proxied by PrefetchLoader, or a legacy loader's shuffle and
+        # augmentation generator) joins the checkpoint.
         loader_state_dict = getattr(self._active_loader, "state_dict", None)
         if callable(loader_state_dict):
             state["loader_state"] = loader_state_dict()
@@ -124,9 +149,11 @@ class TrainerBase:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict` tree into this trainer.
 
-        The loader RNG and scheduler position are stashed and applied by
-        ``fit(resume_from=...)`` once it knows which loader/scheduler the
-        resumed run uses; everything else is restored immediately.
+        The loader state and scheduler position are stashed and applied
+        by ``fit(resume_from=...)`` once it knows which loader/scheduler
+        the resumed run uses; everything else is restored immediately.
+        Checkpoints that also carry a ``loader_rng`` entry load too: the
+        same generator travels in their ``loader_state``.
         """
         saved = state.get("trainer")
         if saved is not None and saved != type(self).__name__:
@@ -164,7 +191,6 @@ class TrainerBase:
             self.metrics.load_state_dict(state["metrics"])
         self._load_aux_state(state.get("aux", {}))
         self._pending_scheduler_state = state.get("scheduler")
-        self._pending_loader_rng = state.get("loader_rng")
         self._pending_loader_state = state.get("loader_state")
 
     # -- epoch / fit loops -------------------------------------------------
@@ -269,12 +295,6 @@ class TrainerBase:
         self._active_loader = loader
         self._active_scheduler = scheduler
         try:
-            if self._pending_loader_rng is not None:
-                if getattr(loader, "rng", None) is not None:
-                    from ..checkpoint import set_rng_state
-
-                    set_rng_state(loader.rng, self._pending_loader_rng)
-                self._pending_loader_rng = None
             if self._pending_loader_state is not None:
                 if callable(getattr(loader, "load_state_dict", None)):
                     loader.load_state_dict(self._pending_loader_state)

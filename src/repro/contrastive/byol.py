@@ -16,10 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
-from ..engine import run_backward
 from ..models.heads import PredictionHead, ProjectionHead
-from ..nn import functional as F
-from ..nn.layers import contains_batch_statistics
 from ..nn.optim import Optimizer
 from ..nn.rng import ensure_rng
 from ..nn.tensor import Tensor
@@ -110,32 +107,13 @@ class BYOL(nn.Module):
 class BYOLTrainer(TrainerBase):
     """Vanilla BYOL pre-training loop (symmetric two-view loss)."""
 
-    def __init__(
-        self, model: BYOL, optimizer: Optimizer, fuse_views: bool = True
-    ) -> None:
+    def __init__(self, model: BYOL, optimizer: Optimizer) -> None:
         self.model = model
         self.optimizer = optimizer
-        #: run each branch once on the concatenated views instead of twice;
-        #: vetoed by batch-statistics layers (see SimCLRTrainer).
-        self.fuse_views = bool(fuse_views)
         self._init_telemetry()
-
-    @property
-    def fusion_active(self) -> bool:
-        return self.fuse_views and not contains_batch_statistics(self.model)
 
     def compute_loss(self, view1: np.ndarray, view2: np.ndarray) -> Tensor:
         v1, v2 = Tensor(view1), Tensor(view2)
-        if self.fusion_active:
-            n = v1.shape[0]
-            both = F.concat([v1, v2], axis=0)
-            self.metrics.counter("encoder_forwards").inc()
-            p = self.model.online_forward(both)
-            self.metrics.counter("target_forwards").inc()
-            t = self.model.target_forward(both)
-            # Symmetric: each view is predicted from the other.
-            loss = byol_loss(p[:n], t[n:]) + byol_loss(p[n:], t[:n])
-            return 0.5 * loss
         self.metrics.counter("encoder_forwards").inc(2)
         self.metrics.counter("target_forwards").inc(2)
         # Symmetric: each view is predicted from the other (historical
@@ -146,10 +124,5 @@ class BYOLTrainer(TrainerBase):
                                 self.model.target_forward(v1))
         return 0.5 * loss
 
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.compute_loss(view1, view2)
-        run_backward(loss)
-        self.optimizer.step()
+    def _after_step(self) -> None:
         self.model.update_target()
-        return float(loss.data)

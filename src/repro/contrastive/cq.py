@@ -560,10 +560,8 @@ class ContrastiveQuantTrainer(TrainerBase):
         """
         from ..checkpoint import get_rng_state
 
-        aux: Dict[str, object] = {
-            "rng": get_rng_state(self.rng),
-            "quant_cache": self.quant_cache.stats(),
-        }
+        aux = super()._aux_state()
+        aux["quant_cache"] = self.quant_cache.stats()
         sampler = self.precision_sampler
         if sampler is not None:
             if getattr(sampler, "rng", None) is not None:
@@ -575,8 +573,7 @@ class ContrastiveQuantTrainer(TrainerBase):
     def _load_aux_state(self, aux: Dict[str, object]) -> None:
         from ..checkpoint import set_rng_state
 
-        if "rng" in aux:
-            set_rng_state(self.rng, aux["rng"])
+        super()._load_aux_state(aux)
         cache_stats = aux.get("quant_cache")
         if cache_stats is not None:
             self.quant_cache.hits = int(cache_stats.get("hits", 0))

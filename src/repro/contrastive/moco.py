@@ -21,7 +21,6 @@ import copy
 import numpy as np
 
 from .. import nn
-from ..engine import run_backward
 from ..models.heads import ProjectionHead
 from ..nn import functional as F
 from ..nn.optim import Optimizer
@@ -167,30 +166,14 @@ class MoCoTrainer(TrainerBase):
         targets = np.zeros(q.shape[0], dtype=np.int64)
         return nn.losses.cross_entropy(logits, targets)
 
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.compute_loss(view1, view2)
-        run_backward(loss)
-        self.optimizer.step()
+    def _after_step(self) -> None:
         self.model.update_key_encoder()
         self.model.enqueue(self._last_keys)
-        return float(loss.data)
 
     def step_info(self) -> Dict[str, object]:
         if self._last_bits is None:
             return {}
         return {"bits": self._last_bits}
-
-    def _aux_state(self) -> Dict[str, object]:
-        from ..checkpoint import get_rng_state
-
-        return {"rng": get_rng_state(self.rng)}
-
-    def _load_aux_state(self, aux: Dict[str, object]) -> None:
-        from ..checkpoint import set_rng_state
-
-        if "rng" in aux:
-            set_rng_state(self.rng, aux["rng"])
 
     def finalize(self) -> None:
         """Restore the query encoder to full precision."""

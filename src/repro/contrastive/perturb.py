@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..engine import run_backward
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..nn.rng import ensure_rng
@@ -113,21 +112,3 @@ class NoiseContrastiveTrainer(TrainerBase):
             + nt_xent(f1, f2, self.temperature)
             + nt_xent(f1_pos, f2_pos, self.temperature)
         )
-
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.compute_loss(view1, view2)
-        run_backward(loss)
-        self.optimizer.step()
-        return float(loss.data)
-
-    def _aux_state(self):
-        from ..checkpoint import get_rng_state
-
-        return {"rng": get_rng_state(self.rng)}
-
-    def _load_aux_state(self, aux) -> None:
-        from ..checkpoint import set_rng_state
-
-        if "rng" in aux:
-            set_rng_state(self.rng, aux["rng"])

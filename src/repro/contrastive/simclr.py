@@ -12,10 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
-from ..engine import run_backward
 from ..models.heads import ProjectionHead
-from ..nn import functional as F
-from ..nn.layers import contains_batch_statistics
 from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor
 from .base import TrainerBase
@@ -68,37 +65,14 @@ class SimCLRTrainer(TrainerBase):
         model: SimCLRModel,
         optimizer: Optimizer,
         temperature: float = 0.5,
-        fuse_views: bool = True,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.temperature = temperature
-        #: encode both views as one concatenated 2N batch (the original
-        #: SimCLR formulation); vetoed by batch-statistics layers so the
-        #: numerics match the per-view path exactly.
-        self.fuse_views = bool(fuse_views)
         self._init_telemetry()
 
-    @property
-    def fusion_active(self) -> bool:
-        return self.fuse_views and not contains_batch_statistics(self.model)
-
     def compute_loss(self, view1: np.ndarray, view2: np.ndarray) -> Tensor:
-        v1, v2 = Tensor(view1), Tensor(view2)
-        if self.fusion_active:
-            self.metrics.counter("encoder_forwards").inc()
-            z = self.model(F.concat([v1, v2], axis=0))
-            n = v1.shape[0]
-            z1, z2 = z[:n], z[n:]
-        else:
-            self.metrics.counter("encoder_forwards").inc(2)
-            z1 = self.model(v1)
-            z2 = self.model(v2)
+        self.metrics.counter("encoder_forwards").inc(2)
+        z1 = self.model(Tensor(view1))
+        z2 = self.model(Tensor(view2))
         return nt_xent(z1, z2, self.temperature)
-
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.compute_loss(view1, view2)
-        run_backward(loss)
-        self.optimizer.step()
-        return float(loss.data)

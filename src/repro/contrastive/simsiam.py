@@ -14,10 +14,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from .. import nn
-from ..engine import run_backward
 from ..models.heads import PredictionHead, ProjectionHead
-from ..nn import functional as F
-from ..nn.layers import contains_batch_statistics
 from ..nn.optim import Optimizer
 from ..nn.rng import ensure_rng
 from ..nn.tensor import Tensor
@@ -78,7 +75,6 @@ class SimSiamTrainer(TrainerBase):
         optimizer: Optimizer,
         precision_set: Optional[Union[str, PrecisionSet]] = None,
         rng: Optional[np.random.Generator] = None,
-        fuse_views: bool = True,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
@@ -89,16 +85,8 @@ class SimSiamTrainer(TrainerBase):
         if self.precision_set is not None:
             if count_quantized_modules(model.encoder) == 0:
                 prepare(model.encoder)
-        #: fuse same-precision view pairs into one 2N projection forward;
-        #: vetoed by batch-statistics layers (see SimCLRTrainer).  Views
-        #: sampled at different precisions always forward separately.
-        self.fuse_views = bool(fuse_views)
         self._last_pair: Optional[Tuple[int, int]] = None
         self._init_telemetry()
-
-    @property
-    def fusion_active(self) -> bool:
-        return self.fuse_views and not contains_batch_statistics(self.model)
 
     def _project(self, x: Tensor, bits: Optional[int]) -> Tensor:
         self.metrics.counter("encoder_forwards").inc()
@@ -106,21 +94,6 @@ class SimSiamTrainer(TrainerBase):
             with precision(self.model.encoder, bits):
                 return self.model.project(x)
         return self.model.project(x)
-
-    def _project_views(
-        self, v1: Tensor, v2: Tensor, q1: Optional[int], q2: Optional[int]
-    ) -> Tuple[Tensor, Tensor]:
-        if self.fusion_active and q1 == q2:
-            both = F.concat([v1, v2], axis=0)
-            self.metrics.counter("encoder_forwards").inc()
-            if self.precision_set is not None:
-                with precision(self.model.encoder, q1, views=2):
-                    z = self.model.project(both)
-            else:
-                z = self.model.project(both)
-            n = v1.shape[0]
-            return z[:n], z[n:]
-        return self._project(v1, q1), self._project(v2, q2)
 
     def compute_loss(self, view1: np.ndarray, view2: np.ndarray) -> Tensor:
         if self.precision_set is not None:
@@ -130,35 +103,17 @@ class SimSiamTrainer(TrainerBase):
             self.metrics.gauge("precision_bits", which="q2").set(q2)
         else:
             q1 = q2 = None
-        v1, v2 = Tensor(view1), Tensor(view2)
-        z1, z2 = self._project_views(v1, v2, q1, q2)
+        z1 = self._project(Tensor(view1), q1)
+        z2 = self._project(Tensor(view2), q2)
         p1 = self.model.predict(z1)
         p2 = self.model.predict(z2)
         return 0.5 * (byol_loss(p1, z2.detach()) + byol_loss(p2, z1.detach()))
-
-    def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.compute_loss(view1, view2)
-        run_backward(loss)
-        self.optimizer.step()
-        return float(loss.data)
 
     def step_info(self) -> Dict[str, object]:
         if self._last_pair is None:
             return {}
         q1, q2 = self._last_pair
         return {"q1": q1, "q2": q2}
-
-    def _aux_state(self) -> Dict[str, object]:
-        from ..checkpoint import get_rng_state
-
-        return {"rng": get_rng_state(self.rng)}
-
-    def _load_aux_state(self, aux: Dict[str, object]) -> None:
-        from ..checkpoint import set_rng_state
-
-        if "rng" in aux:
-            set_rng_state(self.rng, aux["rng"])
 
     def finalize(self) -> None:
         if self.precision_set is not None:

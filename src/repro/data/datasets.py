@@ -299,8 +299,8 @@ class DataLoader:
         """Loader progress for bit-exact resume.
 
         Seeded mode is fully described by the epoch counter; legacy mode
-        captures the stateful generator (kept restorable for existing
-        checkpoints, though trainers also capture it as ``loader_rng``).
+        captures the stateful shuffle and augmentation generator.  Trainer
+        checkpoints carry this dict as ``loader_state``.
         """
         if self.seed is not None:
             return {"mode": "seeded", "seed": int(self.seed),

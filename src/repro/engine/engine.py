@@ -100,7 +100,9 @@ class ExecutionEngine:
 
         ``ContrastiveQuantTrainer.finalize()`` calls it (the encoder
         returns to full precision), and so does every trainer's
-        ``load_state_dict()`` (restored values replace traced constants).
+        ``load_state_dict()`` (restored values replace traced constants)
+        and ``EmbeddingService`` when it first serves a new model version
+        (the superseded version's plans would otherwise live forever).
         """
         self._plans.clear()
 

@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--keep-last", type=int, default=3,
                         help="retain the newest N checkpoints per method "
                              "(best-loss checkpoint is always kept)")
-    parser.add_argument("--no-preflight", action="store_true",
-                        help="skip the static shapecheck run before "
-                             "pre-training (on by default; see "
-                             "repro.analysis.shapecheck)")
     parser.add_argument("--engine", default="trace",
                         choices=("trace", "eager"),
                         help="step executor: 'trace' replays compiled "
@@ -173,7 +169,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-        preflight=not args.no_preflight,
         num_workers=args.num_workers,
         prefetch_factor=args.prefetch_factor,
         engine=args.engine,

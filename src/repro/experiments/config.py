@@ -50,20 +50,17 @@ class PretrainConfig:
     augmentation_strength: float = 0.75
     byol_momentum: float = 0.99
     seed: int = 0
-    #: fuse same-precision view pairs into one 2N-batch encoder forward.
-    #: Safe to leave on: trainers auto-disable fusion whenever the model
-    #: contains batch-statistics layers (BatchNorm/Dropout), so reference
-    #: BatchNorm configurations are unaffected.
+    #: CQ trainers: fuse same-precision view pairs into one 2N-batch
+    #: encoder forward.  Safe to leave on: the trainer auto-disables
+    #: fusion whenever the model contains batch-statistics layers
+    #: (BatchNorm/Dropout), so reference BatchNorm configurations are
+    #: unaffected.  The baseline trainers always encode views separately.
     fuse_views: bool = True
     #: step execution path: "trace" records one eager step per plan
     #: signature into a replayable plan (the ops eager ran, each on its
     #: own kernel; byte-identical to eager, with automatic eager
     #: fallback for untraceable steps), "eager" disables tracing.
     engine: str = "trace"
-    #: shapecheck the assembled model against the training data shape
-    #: before fit() — a misconfigured encoder/head combination fails
-    #: immediately with a layer-by-layer report instead of mid-epoch.
-    preflight: bool = True
     #: augmentation workers prefetching batches ahead of the training
     #: step (0 = inline).  The loader's order-independent seeding makes
     #: batches byte-identical for any worker count, so this is a pure

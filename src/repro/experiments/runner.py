@@ -147,29 +147,26 @@ def pretrain(
                             rng=rng)
         params = list(model.parameters())
 
-    if config.preflight:
-        # Symbolic shape propagation over the assembled model: a wrong
-        # encoder/head combination raises ShapeError (with the partial
-        # per-layer trace) here, before any forward pass or epoch runs.
-        from ..analysis import shapecheck
+    # Symbolic shape propagation over the assembled model: a wrong
+    # encoder/head combination raises ShapeError (with the partial
+    # per-layer trace) here, before any forward pass or epoch runs.
+    from ..analysis import shapecheck
 
-        shapecheck(
-            model,
-            (config.batch_size,) + tuple(train.images.shape[1:]),
-            dtype=train.images.dtype,
-        )
+    shapecheck(
+        model,
+        (config.batch_size,) + tuple(train.images.shape[1:]),
+        dtype=train.images.dtype,
+    )
 
     optimizer = Adam(params, lr=config.lr)
 
     identity_views = False
     if method.is_baseline:
         if method.base == "byol":
-            trainer = BYOLTrainer(model, optimizer,
-                                  fuse_views=config.fuse_views)
+            trainer = BYOLTrainer(model, optimizer)
         else:
             trainer = SimCLRTrainer(model, optimizer,
-                                    temperature=config.temperature,
-                                    fuse_views=config.fuse_views)
+                                    temperature=config.temperature)
     else:
         trainer = ContrastiveQuantTrainer(
             model,

@@ -23,8 +23,9 @@ def _head_norm(kind: str, dim: int) -> nn.Module:
 
     ``"batch"`` is the reference SimCLR/BYOL choice; ``"layer"`` and
     ``"none"`` are per-sample alternatives that keep the head free of
-    batch statistics, which is what allows fused multi-view forwards to
-    stay bit-identical to per-view ones (see ``fuse_views``).
+    batch statistics, which is what allows the CQ trainer's fused
+    multi-view forwards to stay bit-identical to per-view ones (see
+    ``ContrastiveQuantTrainer``'s ``fuse_views``).
     """
     if kind == "batch":
         return nn.BatchNorm1d(dim)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,10 +242,3 @@ def backward(root, grad: Optional[np.ndarray] = None) -> None:
                 grads[key] = grads[key] + parent_grad
             else:
                 grads[key] = parent_grad
-
-
-def accumulate_parameter_grads(parameters: Iterable[Any]) -> None:
-    """Ensure every parameter has a zero gradient buffer (test helper)."""
-    for p in parameters:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)

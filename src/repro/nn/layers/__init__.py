@@ -15,8 +15,9 @@ def contains_batch_statistics(module) -> bool:
     per-call randomness (BatchNorm statistics, Dropout masks).
 
     Such modules make a fused multi-sample forward numerically different
-    from per-group forwards, so callers like the contrastive trainers'
-    ``fuse_views`` path use this to fall back to separate forwards.
+    from per-group forwards, so ``ContrastiveQuantTrainer``'s
+    ``fuse_views`` path uses this to fall back to separate forwards (and
+    to keep such steps off plan replay).
     """
     return any(
         isinstance(m, (_BatchNorm, Dropout)) for m in module.modules()

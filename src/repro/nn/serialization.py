@@ -1,39 +1,23 @@
-"""Checkpoint serialization: state dicts and nested state trees to ``.npz``.
+"""Checkpoint serialization: nested state trees to ``.npz``.
 
-Two layers:
-
-- flat state dicts (``save_state`` / ``load_state``) and model checkpoints
-  with scalar metadata (``save_checkpoint`` / ``load_checkpoint``);
-- nested *state trees* (``pack_state`` / ``unpack_state``): arbitrarily
-  nested dicts/lists mixing numpy arrays with JSON-friendly scalars
-  (ints, floats, strs, bools, None).  Arrays are stored as native npz
-  entries (bit-exact, including float64 optimizer moments); everything
-  else round-trips through a JSON skeleton stored alongside them.  This
-  is the on-disk format of :mod:`repro.checkpoint` full-training
-  checkpoints (model + optimizer + scheduler + RNG streams).
+A *state tree* (``pack_state`` / ``unpack_state``) is an arbitrarily
+nested dict/list mixing numpy arrays with JSON-friendly scalars (ints,
+floats, strs, bools, None).  Arrays are stored as native npz entries
+(bit-exact, including float64 optimizer moments); everything else
+round-trips through a JSON skeleton stored alongside them.  This is the
+on-disk format of :mod:`repro.checkpoint` checkpoints, full-training
+ones (model + optimizer + scheduler + RNG streams) and model-only ones
+(``Checkpointer.save(model.state_dict(), step, metadata=...)``) alike.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List
 
 import numpy as np
 
-from .module import Module
-
-__all__ = [
-    "save_state",
-    "load_state",
-    "save_checkpoint",
-    "load_checkpoint",
-    "pack_state",
-    "unpack_state",
-]
-
-_META_PREFIX = "__meta__"
-_META_JSON_KEY = "__meta_json__"
+__all__ = ["pack_state", "unpack_state"]
 
 #: Reserved npz entry holding the JSON skeleton of a packed state tree.
 _TREE_KEY = "__state_tree__"
@@ -45,32 +29,6 @@ _ARRAY_MARKER = "__ndarray__"
 PACK_FORMAT_VERSION = 1
 
 
-def save_state(state: Dict[str, np.ndarray], path: str) -> None:
-    """Write a state dict to ``path`` (.npz, compressed)."""
-    if not state:
-        raise ValueError("refusing to save an empty state dict")
-    np.savez_compressed(path, **state)
-
-
-def load_state(path: str) -> Dict[str, np.ndarray]:
-    """Read a state dict written by :func:`save_state`."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
-
-
-def _check_metadata_value(key: str, value: Any) -> None:
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        return
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return
-    raise TypeError(
-        f"metadata {key!r} must be a scalar (int/float/str/bool/None), "
-        f"got {type(value).__name__}"
-    )
-
-
 def _json_scalar(value: Any) -> Any:
     """Convert numpy scalar types to their Python equivalents."""
     if isinstance(value, np.bool_):
@@ -80,53 +38,6 @@ def _json_scalar(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     return value
-
-
-def save_checkpoint(model: Module, path: str, **metadata: Any) -> None:
-    """Save a model checkpoint with optional scalar metadata.
-
-    Metadata values (e.g. ``epoch=10, run_id="cq-c"``) may be ints,
-    floats, strings, bools, or None; they are stored as JSON under a
-    reserved key and returned separately by :func:`load_checkpoint`
-    with their types preserved (``epoch=10`` comes back as ``int``).
-    """
-    state = dict(model.state_dict())
-    if _META_JSON_KEY in state:
-        raise ValueError(
-            f"model state uses the reserved key {_META_JSON_KEY!r}"
-        )
-    for key, value in metadata.items():
-        _check_metadata_value(key, value)
-        if f"{_META_PREFIX}{key}" in state:
-            raise ValueError(f"metadata key collides with parameter: {key}")
-    if metadata:
-        payload = json.dumps(
-            {key: _json_scalar(value) for key, value in metadata.items()}
-        )
-        state[_META_JSON_KEY] = np.array(payload)
-    save_state(state, path)
-
-
-def load_checkpoint(model: Module, path: str) -> Dict[str, Any]:
-    """Load a checkpoint into ``model``; returns the metadata dict.
-
-    Reads both the current JSON metadata format and the legacy format
-    that stored every value as a float array.
-    """
-    state = load_state(path)
-    metadata: Dict[str, Any] = {}
-    json_blob = state.pop(_META_JSON_KEY, None)
-    if json_blob is not None:
-        metadata.update(json.loads(str(json_blob)))
-    model_state = {}
-    for key, value in state.items():
-        if key.startswith(_META_PREFIX):
-            # Legacy checkpoints stored metadata as scalar float arrays.
-            metadata.setdefault(key[len(_META_PREFIX):], float(value))
-        else:
-            model_state[key] = value
-    model.load_state_dict(model_state)
-    return metadata
 
 
 def pack_state(tree: Any) -> Dict[str, np.ndarray]:

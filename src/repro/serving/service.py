@@ -260,6 +260,8 @@ class EmbeddingService:
             entry = self.registry.get(self.model_name)
             model = entry.model
             if entry.key != self._served_key:
+                # A new version supersedes every plan traced for the old one.
+                self.engine.invalidate()
                 model.eval()
                 self._served_key = entry.key
             results: List[Optional[np.ndarray]] = [None] * len(requests)
@@ -303,7 +305,8 @@ class EmbeddingService:
         """One batched forward, replayed from a compiled plan when possible.
 
         Plans are keyed on (model version, batch shape): a hot-swap
-        publishes a new registry key and traces a fresh plan, while an
+        publishes a new registry key, which drops the old version's plans
+        (see :meth:`_serve_group`) and traces fresh ones, while an
         in-place mutation of the served weights bumps
         ``Parameter.version`` and fails the plan's staleness guard, so
         either route retraces instead of serving stale math.

@@ -40,10 +40,8 @@ def test_preflight_default_on_catches_mismatch(monkeypatch, data):
         runner_mod, "create_encoder",
         _lying_encoder_factory(runner_mod.create_encoder),
     )
-    config = _config()
-    assert config.preflight is True
     with pytest.raises(ShapeError) as excinfo:
-        pretrain(MethodSpec("SimCLR"), data.train, config)
+        pretrain(MethodSpec("SimCLR"), data.train, _config())
     assert "feature_dim" in str(excinfo.value)
     # fail-fast means the layer-by-layer trace is part of the report
     assert "layers traced before the failure" in str(excinfo.value)
@@ -77,10 +75,6 @@ def test_preflight_flag_controls_shapecheck_invocation(monkeypatch, data):
     pretrain(MethodSpec("SimCLR"), data.train, _config())
     assert calls == [(4, 3, 12, 12)]  # (batch_size, *image shape)
 
-    calls.clear()
-    pretrain(MethodSpec("SimCLR"), data.train, _config(preflight=False))
-    assert calls == []
-
 
 def test_preflight_covers_byol_branch(monkeypatch, data):
     monkeypatch.setattr(
@@ -89,13 +83,3 @@ def test_preflight_covers_byol_branch(monkeypatch, data):
     )
     with pytest.raises(ShapeError):
         pretrain(MethodSpec("BYOL", base="byol"), data.train, _config())
-
-
-def test_cli_exposes_no_preflight_flag():
-    from repro.experiments.cli import build_parser
-
-    args = build_parser().parse_args(["--methods", "simclr"])
-    assert args.no_preflight is False
-    args = build_parser().parse_args(["--methods", "simclr",
-                                      "--no-preflight"])
-    assert args.no_preflight is True

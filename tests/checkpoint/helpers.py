@@ -15,6 +15,7 @@ from repro.contrastive import (
     ContrastiveQuantTrainer,
     MoCo,
     MoCoTrainer,
+    NoiseContrastiveTrainer,
     SimCLRModel,
     SimCLRTrainer,
     SimSiam,
@@ -55,6 +56,12 @@ def make_trainer(name="cq", seed=SEED):
         return SimSiamTrainer(
             model, Adam(list(model.parameters()), lr=1e-3),
             precision_set="2-8", rng=trainer_rng,
+        )
+    if name == "noise":
+        model = SimCLRModel(encoder, projection_dim=8, rng=model_rng)
+        return NoiseContrastiveTrainer(
+            model, [0.0, 0.01, 0.05], Adam(list(model.parameters()), lr=1e-3),
+            rng=trainer_rng,
         )
     if name == "cq-fused":
         # Batch-statistics-free model so fusion is actually active: the

@@ -27,7 +27,7 @@ from .helpers import (
 )
 
 FAST_TRAINERS = ["simclr", "cq", "cq-fused", "cq-traced"]
-SLOW_TRAINERS = ["byol", "moco", "simsiam"]
+OTHER_TRAINERS = ["byol", "moco", "simsiam", "noise"]
 
 
 def interrupted_then_resumed(name, stop_after, tmp_path):
@@ -67,8 +67,7 @@ def test_resume_is_bit_exact(name, stop_after, tmp_path):
     assert_same_model_state(trainer, ref_trainer)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", SLOW_TRAINERS)
+@pytest.mark.parametrize("name", OTHER_TRAINERS)
 def test_resume_is_bit_exact_all_trainers(name, tmp_path):
     ref_trainer, ref_history, ref_steps = run_uninterrupted(name)
     trainer, history, steps = interrupted_then_resumed(name, 2, tmp_path)

@@ -13,11 +13,9 @@ import pytest
 
 from repro.contrastive import (
     BYOL,
-    BYOLTrainer,
     ContrastiveQuantTrainer,
     CQVariant,
     SimCLRModel,
-    SimCLRTrainer,
 )
 from repro.models import resnet18
 from repro.nn.optim import Adam
@@ -85,31 +83,6 @@ def test_fused_matches_unfused(base, variant):
     assert len(fused_grads) == len(unfused_grads)
     for a, b in zip(fused_grads, unfused_grads):
         assert (a is None) == (b is None)
-        if a is not None:
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-
-
-@pytest.mark.parametrize("base", BASES)
-def test_fused_matches_unfused_vanilla_trainers(base):
-    def run(engine):
-        model = make_model(base, seed=3)
-        if base == "byol":
-            trainer = BYOLTrainer(
-                model, Adam(list(model.trainable_parameters()), lr=1e-3),
-                fuse_views=engine,
-            )
-        else:
-            trainer = SimCLRTrainer(
-                model, Adam(list(model.parameters()), lr=1e-3),
-                fuse_views=engine,
-            )
-        assert trainer.fusion_active == engine
-        return loss_and_grads(trainer)
-
-    fused_loss, fused_grads = run(True)
-    unfused_loss, unfused_grads = run(False)
-    assert fused_loss == unfused_loss
-    for a, b in zip(fused_grads, unfused_grads):
         if a is not None:
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
 

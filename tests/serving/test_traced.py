@@ -122,3 +122,32 @@ def test_converted_model_is_never_replayed_stale(rng):
     assert len({out.tobytes() for out in outs["eager"]}) == 4
     for traced, eager in zip(outs["trace"], outs["eager"]):
         assert traced.tobytes() == eager.tobytes()
+
+
+def test_hot_swaps_do_not_accumulate_plans(rng):
+    # Each version's plans hold slot arrays and saved state; a publish
+    # must retire the superseded version's plans, not keep them forever.
+    import gc
+    import tracemalloc
+
+    from repro.models import resnet18
+
+    models = [resnet18(width_multiplier=1 / 16,
+                       rng=np.random.default_rng(seed)) for seed in range(4)]
+    sizes = (16, 12, 8, 20)  # one plan per input shape and version
+    xs = [rng.normal(size=(3, s, s)) for s in sizes]
+    reg = ModelRegistry()
+    traced = []
+    tracemalloc.start()
+    try:
+        with EmbeddingService(reg, "enc", max_wait_ms=0.5,
+                              engine="trace") as svc:
+            for model in models:
+                reg.publish("enc", model)
+                for x in xs:
+                    svc.embed(x)
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert traced[-1] <= 1.5 * traced[0], traced

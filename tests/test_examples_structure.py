@@ -1,7 +1,9 @@
 """Examples stay importable and follow the script contract.
 
-Full example runs are exercised manually/by CI at longer timeouts; these
-tests catch import-time breakage (renamed APIs, typos) cheaply.
+The CI ``tests`` job runs ``examples/quickstart.py`` and
+``examples/framework_zoo.py`` end to end (step "Examples end to end");
+the other examples run manually.  These tests catch import-time
+breakage (renamed APIs, typos) in every example cheaply.
 """
 
 import importlib.util
