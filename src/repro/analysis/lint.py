@@ -58,6 +58,11 @@ RPR011 Leaked threads/futures: ``threading.Thread(...)`` without
        ``daemon=`` or a ``join()`` in scope; ``except`` handlers around
        a ``set_result()`` producer that neither ``set_exception()`` nor
        re-raise, leaving waiters blocked forever on failure.
+RPR012 A ``self.parents`` read inside a ``Function`` subclass (outside
+       :mod:`repro.nn.autograd`, which defines it).  A compiled plan
+       drops every ctx's ``parents``, so an op that counts or reads its
+       inputs through them silently drops gradients under replay; count
+       inputs with ``len(self.needs_input_grad)``.
 ====== ==============================================================
 """
 
@@ -93,6 +98,8 @@ RULES: Dict[str, str] = {
     "RPR010": "lock-order cycle / re-acquire / callback under a held lock",
     "RPR011": "thread without daemon= or join; future with an unset "
               "exception path",
+    "RPR012": "self.parents read inside a Function subclass; replayed "
+              "ops have none",
 }
 
 # Modules allowed to break a rule, matched as a path suffix (so the
@@ -129,6 +136,8 @@ SANCTIONED: Dict[str, Tuple[str, ...]] = {
     # consumer allowed to drive it directly (trace capture + replay).
     # Tests exercise both layers on purpose.
     "RPR008": ("repro/nn/", "repro/engine/", "tests/"),
+    # Function itself sets and documents ``parents``.
+    "RPR012": ("repro/nn/autograd.py",),
 }
 
 # Module roots whose import anywhere else signals ad-hoc parallelism.
@@ -179,6 +188,10 @@ class _RuleVisitor(ast.NodeVisitor):
         self._numpy_random_aliases: Set[str] = set()
         self._random_imports: Dict[str, str] = {}  # local name -> fn
         self._function_stack: List[str] = []  # enclosing def names
+        # Function subclasses defined so far in this file, and whether
+        # each enclosing class is one.
+        self._function_classes: Set[str] = set()
+        self._class_stack: List[bool] = []
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         self.findings.append(
@@ -329,9 +342,23 @@ class _RuleVisitor(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- RPR008: tape internals referenced outside the engine -------------
+    # -- RPR008 (tape internals outside the engine), RPR012 (parents) -----
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr == "parents"
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and self._class_stack
+            and self._class_stack[-1]
+        ):
+            self._emit(
+                node, "RPR012",
+                "Function subclass reads self.parents; a replayed ctx has "
+                "none, so this op would drop gradients under plan replay "
+                "— count inputs with len(self.needs_input_grad)",
+            )
         if node.attr == "_topological_order":
             self._emit(
                 node, "RPR008",
@@ -420,6 +447,14 @@ class _RuleVisitor(ast.NodeVisitor):
     # -- RPR005: state_dict / load_state_dict symmetry ------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        bases = {
+            base.attr if isinstance(base, ast.Attribute) else
+            getattr(base, "id", None)
+            for base in node.bases
+        }
+        is_function = bool(bases & (self._function_classes | {"Function"}))
+        if is_function:
+            self._function_classes.add(node.name)
         defined = {
             stmt.name
             for stmt in node.body
@@ -436,7 +471,9 @@ class _RuleVisitor(ast.NodeVisitor):
                 f"checkpoint round trips need both sides overridden "
                 f"together",
             )
+        self._class_stack.append(is_function)
         self.generic_visit(node)
+        self._class_stack.pop()
 
 
 def _line_suppresses(suppressions: Dict[int, Optional[Set[str]]],
@@ -552,7 +589,7 @@ def lint_paths(paths: Sequence[str],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repo-invariant linter (rules RPR001-RPR011; "
+        description="Repo-invariant linter (rules RPR001-RPR012; "
                     "suppress per line with '# noqa: RPRxxx').",
     )
     parser.add_argument("paths", nargs="+",

@@ -96,14 +96,22 @@ class ExecutionEngine:
         }
 
     def invalidate(self) -> None:
-        """Drop all compiled plans; known signatures retrace on next use.
+        """Drop all compiled plans; their signatures retrace on next use.
 
         ``ContrastiveQuantTrainer.finalize()`` calls it (the encoder
         returns to full precision), and so does every trainer's
         ``load_state_dict()`` (restored values replace traced constants)
         and ``EmbeddingService`` when it first serves a new model version
         (the superseded version's plans would otherwise live forever).
+
+        Only the dropped plans' signatures stay known, so their next
+        trace counts as a retrace; a signature not seen since the last
+        invalidate is forgotten, and the known set stays bounded by the
+        signatures of one cycle.  Vetoes are permanent and survive: the
+        reason for one (a Dropout mask, an active observer) is a property
+        of the step, not of a plan.
         """
+        self._known = set(self._plans)
         self._plans.clear()
 
     def plan_for(self, signature: Hashable) -> Optional[Plan]:

@@ -126,7 +126,14 @@ class Record:
     ``ctx`` is the live Function instance created during the traced step;
     replays re-run ``ctx.forward`` (overwriting its saved state) and, for
     grad-carrying nodes, the op class's ``backward`` on ``ctx`` in the
-    captured schedule.
+    captured schedule.  Compilation sets ``ctx.parents`` to ``()``, and a
+    training plan releases the rest of ``ctx``'s saved state
+    (:meth:`Function.release`) whenever no backward is pending, so
+    between replays ``ctx`` holds only ``needs_input_grad``.
+
+    ``out`` is the Tensor produced during the trace.  Compilation reads
+    it to find the root's slot, then sets it to ``None``: no replay reads
+    the traced step's arrays.
     """
 
     __slots__ = ("op", "ctx", "args", "kwargs", "out")
@@ -136,7 +143,7 @@ class Record:
         self.ctx = ctx
         self.args: Tuple[Any, ...] = args
         self.kwargs: Dict[str, Any] = kwargs
-        self.out = out  # the Tensor produced during the trace
+        self.out = out
 
     def __repr__(self) -> str:
         return f"Record({self.op.__name__}, args={self.args})"

@@ -14,10 +14,17 @@ step.  Compilation builds two schedules over them:
 Replay therefore runs exactly the ops eager ran, each on its own kernel,
 so the two match byte for byte by construction.  Every replay allocates
 its outputs afresh, so arrays handed out by one replay are never written
-by the next; the plan holds the last replay's slot arrays, and each op's
-saved backward state, until the next replay.  Any compilation surprise
-raises :class:`PlanError` (a :class:`TraceError`), which the engine
-converts into a permanent eager fallback for that signature.
+by the next.
+
+A plan holds no array of its step between replays.  Compilation drops
+the traced step's tensors (each record's ``out`` and each ctx's
+``parents``); each replay hands out its root and taps, then clears its
+slots and inputs.  A training plan also releases every op's saved
+backward state (:meth:`Function.release`) at compile time and after
+each replay's backward; an inference plan keeps its ctx attributes
+readable, and its forwards save no backward state.  Any compilation
+surprise raises :class:`PlanError` (a :class:`TraceError`), which the
+engine converts into a permanent eager fallback for that signature.
 """
 
 from __future__ import annotations
@@ -155,6 +162,12 @@ class Plan:
                         seen.add(id(ref.param))
                         params.append(ref.param)
             self._version_guard = tuple((p, p.version) for p in params)
+        # No replay reads the traced step's tensors.  The traced step
+        # has run its backward, so a training plan releases its state.
+        for record in records:
+            record.out = None
+            record.ctx.parents = ()
+        self._release()
 
     # -- compilation ------------------------------------------------------
     def _compile_forward(self) -> None:
@@ -223,7 +236,17 @@ class Plan:
         outputs = {
             name: slots[slot] for name, slot in self._output_slots.items()
         }
-        return ReplayResult(slots[self._root_slot], outputs)
+        result = ReplayResult(slots[self._root_slot], outputs)
+        slots[:] = [None] * len(slots)
+        inbox.clear()
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Release each op's saved state (training plans only)."""
+        if self.training:
+            for record in self.records:
+                record.ctx.release()
 
     def _run_backward(self) -> None:
         grads: List[Optional[np.ndarray]] = [None] * self._num_gids
@@ -254,7 +277,10 @@ class Plan:
 
 
 def compile_plan(graph: Graph, training: bool) -> Plan:
-    """Compile ``graph`` into a :class:`Plan` (raises :class:`PlanError`)."""
+    """Compile ``graph`` into a :class:`Plan` (raises :class:`PlanError`).
+
+    A graph compiles once: the plan drops its records' traced tensors.
+    """
     try:
         return Plan(graph, training=training)
     except TraceError:

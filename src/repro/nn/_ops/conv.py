@@ -171,4 +171,4 @@ class Conv2d(Function):
         # The engine calls backward once per node, so drop the im2col
         # buffer as soon as the grads exist.
         self.cols = None
-        return tuple(grads[: len(self.parents)])
+        return tuple(grads[: len(self.needs_input_grad)])

@@ -18,7 +18,7 @@ class Add(Function):
             grads.append(unbroadcast(grad, self.a_shape))
         else:
             grads.append(None)
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             if self.needs_input_grad[1]:
                 grads.append(unbroadcast(grad, self.b_shape))
             else:
@@ -33,7 +33,7 @@ class Sub(Function):
 
     def backward(self, grad):
         grads = [unbroadcast(grad, self.a_shape)]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(unbroadcast(-grad, self.b_shape))
         return tuple(grads)
 
@@ -56,7 +56,7 @@ class Mul(Function):
 
     def backward(self, grad):
         grads = [unbroadcast(grad * self.b, np.shape(self.a))]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(unbroadcast(grad * self.a, np.shape(self.b)))
         return tuple(grads)
 
@@ -68,7 +68,7 @@ class Div(Function):
 
     def backward(self, grad):
         grads = [unbroadcast(grad / self.b, np.shape(self.a))]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(
                 unbroadcast(-grad * self.a / (self.b * self.b), np.shape(self.b))
             )
@@ -165,7 +165,7 @@ class Maximum(Function):
         ga = grad * (a_wins + 0.5 * tie)
         gb = grad * (~a_wins & ~tie) + grad * 0.5 * tie
         grads = [unbroadcast(ga, np.shape(self.a))]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(unbroadcast(gb, np.shape(self.b)))
         return tuple(grads)
 
@@ -204,7 +204,7 @@ class AddRelu(Function):
     def backward(self, grad):
         g = grad * self.mask
         grads = [unbroadcast(g, self.a_shape)]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(unbroadcast(g, self.b_shape))
         return tuple(grads)
 

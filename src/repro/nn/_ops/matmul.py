@@ -27,7 +27,7 @@ class MatMul(Function):
             a_t = np.swapaxes(a, -1, -2) if a.ndim > 1 else a[:, None]
             grad_b = a_t @ grad
         grads = [unbroadcast(np.asarray(grad_a), a.shape)]
-        if len(self.parents) > 1:
+        if len(self.needs_input_grad) > 1:
             grads.append(unbroadcast(np.asarray(grad_b), b.shape))
         return tuple(grads)
 
@@ -55,4 +55,4 @@ class Linear(Function):
         grads = [grad_x, grad_w]
         if self.has_bias:
             grads.append(grad.reshape(-1, grad.shape[-1]).sum(axis=0))
-        return tuple(grads[: len(self.parents)])
+        return tuple(grads[: len(self.needs_input_grad)])

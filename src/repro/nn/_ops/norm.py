@@ -115,7 +115,7 @@ class Normalize(Function):
             grads = self._per_channel_grads(g2)
         # The engine calls backward once per node.
         self.saved = None
-        return grads[: len(self.parents)]
+        return grads[: len(self.needs_input_grad)]
 
     def _per_sample_grads(self, g2):
         xhat, inv_std, weight = self.saved

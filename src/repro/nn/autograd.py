@@ -118,7 +118,16 @@ class Function:
 
     Subclasses implement ``forward(self, *arrays, **kwargs) -> ndarray`` and
     ``backward(self, grad_output) -> tuple`` returning one gradient array (or
-    ``None``) per tensor input, in order.  Use :meth:`apply` to invoke.
+    ``None``) per tensor input, in order: ``len(self.needs_input_grad)``
+    of them.  Use :meth:`apply` to invoke.
+
+    ``forward`` keeps on ``self`` everything ``backward`` reads, and finds
+    nothing there on entry but ``needs_input_grad``.  A compiled plan
+    (:mod:`repro.engine.plan`) re-runs both on the traced ctx, whose
+    ``parents`` it has dropped, and a training plan calls :meth:`release`
+    once each replay's backward has run.  So a replayed ctx has no
+    ``parents``, and an op must not read ``self.parents`` (lint rule
+    RPR012).
     """
 
     def __init__(self) -> None:
@@ -131,6 +140,12 @@ class Function:
 
     def backward(self, grad_output: np.ndarray) -> Sequence[Optional[np.ndarray]]:
         raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop the parents and all saved state; keep ``needs_input_grad``."""
+        needs = self.needs_input_grad
+        self.__dict__.clear()
+        self.parents, self.needs_input_grad = (), needs
 
     # -- graph construction -------------------------------------------------
     @classmethod
@@ -150,6 +165,7 @@ class Function:
         )
         # Set before forward, so an op saves backward state only when a
         # backward can run (``needs_input_grad`` stays empty otherwise).
+        # One flag per tensor input: backward's gradient count.
         if requires_grad:
             ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
         out_data = ctx.forward(*raw, **kwargs)

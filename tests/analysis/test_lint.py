@@ -217,6 +217,73 @@ def test_rpr008_sanctioned_inside_engine_nn_and_tests():
     ]
 
 
+# -- RPR012: ops reading their parents ---------------------------------------
+
+def test_rpr012_parents_read_in_function_subclass_flagged():
+    findings = lint(
+        """\
+        from repro.nn import autograd
+        from repro.nn.autograd import Function
+        class Add(Function):
+            def backward(self, grad):
+                if len(self.parents) > 1:
+                    return grad, grad
+                return (grad,)
+        class Mul(autograd.Function):
+            def backward(self, grad):
+                return tuple(grad for _ in self.parents)
+        """
+    )
+    assert _codes(findings) == [("RPR012", 5), ("RPR012", 10)]
+
+
+def test_rpr012_subclass_of_a_local_op_flagged():
+    findings = lint(
+        """\
+        class Base(Function):
+            pass
+        class Child(Base):
+            def backward(self, grad):
+                def count():
+                    return len(self.parents)
+                return (grad,) * count()
+        """
+    )
+    assert _codes(findings) == [("RPR012", 6)]
+
+
+def test_rpr012_gradient_flags_writes_and_other_classes_pass():
+    assert lint(
+        """\
+        class Add(Function):
+            def forward(self, a, b):
+                self.parents = ()
+                return a + b
+            def backward(self, grad):
+                return (grad,) * len(self.needs_input_grad)
+        class Node:
+            def depth(self):
+                return len(self.parents)
+        def schedule(ctx):
+            return ctx.parents
+        """
+    ) == []
+
+
+def test_rpr012_sanctioned_inside_autograd():
+    snippet = """\
+        class Function:
+            pass
+        class Probe(Function):
+            def count(self):
+                return len(self.parents)
+        """
+    assert lint(snippet, path="src/repro/nn/autograd.py") == []
+    assert _codes(lint(snippet, path="src/repro/nn/_ops/probe.py")) == [
+        ("RPR012", 5)
+    ]
+
+
 # -- RPR004: mutable defaults ------------------------------------------------
 
 def test_rpr004_mutable_defaults():
@@ -509,4 +576,4 @@ def test_src_tree_is_clean():
 def test_every_rule_documented():
     assert sorted(RULES) == ["RPR001", "RPR002", "RPR004", "RPR005",
                              "RPR006", "RPR007", "RPR008", "RPR009",
-                             "RPR010", "RPR011"]
+                             "RPR010", "RPR011", "RPR012"]

@@ -93,6 +93,29 @@ def test_invalidate_forces_retrace_and_counts_it():
     assert step(arr(4)).replayed
 
 
+def test_invalidate_keeps_only_the_dropped_signatures_known():
+    # A serving engine sees a fresh signature (model version, batch
+    # shape) in each cycle; its known set must not keep every one.
+    engine = ExecutionEngine(training=False)
+    param = Parameter(arr(1))
+
+    def forward(sig):
+        x = Tensor(arr(0, sig[1]))
+        return engine.execute(sig, {"x": x}, None,
+                              lambda: (F.relu(F.mul(x, param)), {}))
+
+    shapes = ((3, 4), (2, 3, 4))
+    for version in range(50):
+        for shape in shapes:
+            forward((version, shape))
+        engine.invalidate()
+    assert engine._known == {(49, shape) for shape in shapes}
+    forward((0, (3, 4)))  # forgotten: a plain trace
+    assert engine.stats()["retraces"] == 0
+    forward((49, (3, 4)))  # its plan was dropped: a retrace
+    assert engine.stats()["retraces"] == 1
+
+
 def test_veto_routes_to_counted_fallback():
     engine = ExecutionEngine()
     step = make_step(engine, Parameter(arr(1)))
