@@ -190,17 +190,22 @@ class BinaryQuantizer:
             )
         return cls(np.median(embeddings, axis=0))
 
-    def _check_dim(self, x: np.ndarray, what: str) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    def binarize(self, x: np.ndarray) -> np.ndarray:
+        """``(N, dim)`` embeddings to a boolean bit matrix (no packing).
+
+        Float32 input is compared against the float64 thresholds as it
+        is: NumPy promotes the comparison to float64 in small buffered
+        chunks, so the bits are those of a float64 copy without one
+        being made.  Any other input is read as float64.
+        """
+        x = np.asarray(x)
+        if x.dtype != np.float32:
+            x = x.astype(np.float64, copy=False)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(
-                f"{what} must have shape (N, {self.dim}), got {x.shape}"
+                f"embeddings must have shape (N, {self.dim}), got {x.shape}"
             )
-        return x
-
-    def binarize(self, x: np.ndarray) -> np.ndarray:
-        """``(N, dim)`` embeddings to a boolean bit matrix (no packing)."""
-        return self._check_dim(x, "embeddings") > self.thresholds
+        return x > self.thresholds
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """``(N, dim)`` embeddings to ``(N, words)`` packed uint64 codes."""

@@ -433,8 +433,19 @@ class IVFIndex:
     # -- indexing -----------------------------------------------------------
 
     def add(self, embeddings: np.ndarray) -> np.ndarray:
-        """Encode and route embeddings to their cells; returns global ids."""
-        embeddings = np.asarray(embeddings, dtype=np.float64)
+        """Encode and route embeddings to their cells; returns global ids.
+
+        Float32 input is used as it is: cell assignment and the float
+        store read the caller's rows, and binary codes compare them
+        against the float64 thresholds directly, so a binary ``add``
+        copies no chunk.  Any other input is read as float64 and cast
+        to float32 once for cell assignment and the store.  Either way,
+        codes, cells and stored rows equal those of a float64 copy of
+        the input.  PQ cells encode float64 residuals.
+        """
+        embeddings = np.asarray(embeddings)
+        if embeddings.dtype != np.float32:
+            embeddings = embeddings.astype(np.float64, copy=False)
         if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
             raise ValueError(
                 f"embeddings must have shape (N, {self.dim}), got "
@@ -442,7 +453,8 @@ class IVFIndex:
             )
         if embeddings.shape[0] == 0:
             raise ValueError("add() needs at least one embedding")
-        cells = _assign_cells(self._centroids, embeddings)
+        rows = embeddings.astype(np.float32, copy=False)
+        cells = _assign_cells(self._centroids, rows)
         if self._binary:
             codes = self.encoder.encode(embeddings)
             bias = None
@@ -466,7 +478,7 @@ class IVFIndex:
             if self._store is not None:
                 # Under the index lock so code ids and float rows can
                 # never interleave across concurrent add() calls.
-                self._store.append(embeddings.astype(np.float32))
+                self._store.append(rows)
         return ids
 
     def _residual_bias(self, codes: np.ndarray,

@@ -9,6 +9,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.retrieval import rowwise_topk
+from repro.retrieval.ivf import _assign_cells
 
 
 def numerical_gradients(
@@ -378,3 +379,45 @@ def rerank_reference(store, queries, shortlist_ids, k, *, metric="l2",
         out_ids[start:start + query_block] = ids
         out_dists[start:start + query_block] = top
     return out_ids, out_dists
+
+
+# IVFIndex.add as it ran before it stopped copying each chunk, kept verbatim as
+# its reference (``self`` is ``index``): a float64 copy of every chunk for cell
+# assignment and codes, then a float32 copy of that for the store.
+
+
+def add_reference(index, embeddings):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2 or embeddings.shape[1] != index.dim:
+        raise ValueError(
+            f"embeddings must have shape (N, {index.dim}), got "
+            f"{embeddings.shape}"
+        )
+    if embeddings.shape[0] == 0:
+        raise ValueError("add() needs at least one embedding")
+    cells = _assign_cells(index._centroids, embeddings)
+    if index._binary:
+        codes = index.encoder.encode(embeddings)
+        bias = None
+    else:
+        centroids = index._centroids[cells].astype(np.float64)
+        codes = index.encoder.encode(embeddings - centroids)
+        bias = index._residual_bias(codes, centroids)
+    order = np.argsort(cells, kind="stable")
+    boundaries = np.flatnonzero(np.diff(cells[order])) + 1
+    groups = np.split(order, boundaries)
+    with index._lock:
+        start = index._size
+        ids = np.arange(start, start + embeddings.shape[0],
+                        dtype=np.int64)
+        for group in groups:
+            cell = int(cells[group[0]])
+            index._cells[cell].append(
+                codes[group], ids[group],
+                bias[group] if bias is not None else None)
+        index._size = start + embeddings.shape[0]
+        if index._store is not None:
+            # Under the index lock so code ids and float rows can
+            # never interleave across concurrent add() calls.
+            index._store.append(embeddings.astype(np.float32))
+    return ids

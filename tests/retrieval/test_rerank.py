@@ -67,8 +67,8 @@ class TestFloatStore:
         assert not errors
         assert len(store) == 200
         # Every stored row is one of the constant blocks, untorn.
-        rows, size = store.snapshot()
-        spread = rows[:size].max(axis=1) - rows[:size].min(axis=1)
+        rows = store.gather(np.arange(len(store)))
+        spread = rows.max(axis=1) - rows.min(axis=1)
         assert (spread == 0).all()
 
 
