@@ -16,7 +16,7 @@ package layout:
 - :mod:`repro.telemetry` — metrics registry, op-level profiler, and the
   trainer event/callback protocol (JSONL run logs, throughput meters).
 - :mod:`repro.serving` — embedding service over converted models:
-  versioned registry, request micro-batching, LRU cache, load generator.
+  one-live-version registry, request micro-batching, load generator.
 """
 
 __version__ = "1.0.0"

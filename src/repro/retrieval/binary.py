@@ -59,8 +59,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (N, D) bits, got shape {bits.shape}")
     n, dim = bits.shape
     words = packed_words(dim)
-    as_bytes = np.packbits(bits.astype(np.uint8, copy=False), axis=1,
-                           bitorder="little")
+    as_bytes = np.packbits(bits, axis=1, bitorder="little")
     padded = np.zeros((n, words * 8), dtype=np.uint8)
     padded[:, :as_bytes.shape[1]] = as_bytes
     return padded.view(np.dtype("<u8"))

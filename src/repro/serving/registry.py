@@ -1,12 +1,15 @@
-"""Versioned in-process model registry for the serving layer.
+"""In-process model registry for the serving layer: one live model per name.
 
 Serving code never holds a bare model: it asks the registry for a
 :class:`ModelVersion` so every embedding can be attributed to the exact
-weights that produced it.  Each ``publish()`` snapshots a *fingerprint*
-— the sorted ``(parameter_path, Parameter.version)`` pairs of the model
-— so the registry can detect when somebody trains or edits a published
-model in place (:meth:`ModelRegistry.is_stale`).  Converted integer
-models (:mod:`repro.quant.lowered`) carry their weights in buffers, not
+weights that produced it.  A name holds only its live version:
+``publish()`` replaces it and numbers the newcomer one past it, so a
+superseded model is freed once nothing else refers to it.  Each
+``publish()`` snapshots a *fingerprint* — the sorted
+``(parameter_path, Parameter.version)`` pairs of the model — so the
+registry can detect when somebody trains or edits a published model in
+place (:meth:`ModelRegistry.is_stale`).  Converted integer models
+(:mod:`repro.quant.lowered`) carry their weights in buffers, not
 Parameters; their fingerprint is empty and they are frozen by
 construction, so they can never go stale.
 """
@@ -14,7 +17,7 @@ construction, so they can never go stale.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..nn.module import Module
 
@@ -60,64 +63,52 @@ class ModelVersion:
 
 
 class ModelRegistry:
-    """Thread-safe name → ordered list of :class:`ModelVersion`.
+    """Thread-safe name → live :class:`ModelVersion`.
 
-    Versions are monotonic per name, assigned at ``publish()`` time.
-    ``get(name)`` resolves the latest version, which is how a running
-    :class:`~repro.serving.EmbeddingService` picks up a newly published
-    model without restarting.
+    Versions are monotonic per name, assigned at ``publish()`` time, and
+    only the latest is kept.  ``get(name)`` resolves it, which is how a
+    running :class:`~repro.serving.EmbeddingService` picks up a newly
+    published model without restarting.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._versions: Dict[str, List[ModelVersion]] = {}
+        self._entries: Dict[str, ModelVersion] = {}
 
     def publish(self, name: str, model: Module,
                 tags: Tuple[str, ...] = ()) -> ModelVersion:
-        """Register ``model`` under ``name``; returns the new version."""
+        """Make ``model`` the live version of ``name``; returns its entry."""
         with self._lock:
-            existing = self._versions.setdefault(name, [])
-            entry = ModelVersion(
-                name, len(existing) + 1, model, fingerprint(model), tags
-            )
-            existing.append(entry)
+            previous = self._entries.get(name)
+            version = previous.version + 1 if previous is not None else 1
+            entry = ModelVersion(name, version, model, fingerprint(model),
+                                 tags)
+            self._entries[name] = entry
             return entry
 
-    def get(self, name: str,
-            version: Optional[int] = None) -> ModelVersion:
-        """Resolve ``name`` (latest, or a specific ``version``)."""
+    def get(self, name: str) -> ModelVersion:
+        """Resolve the live version of ``name``."""
         with self._lock:
             try:
-                versions = self._versions[name]
+                return self._entries[name]
             except KeyError:
                 raise KeyError(
                     f"no model published under {name!r}; "
-                    f"known: {sorted(self._versions)}"
+                    f"known: {sorted(self._entries)}"
                 ) from None
-            if version is None:
-                return versions[-1]
-            if not 1 <= version <= len(versions):
-                raise KeyError(
-                    f"{name!r} has versions 1..{len(versions)}, "
-                    f"not {version}"
-                )
-            return versions[version - 1]
-
-    def latest_version(self, name: str) -> int:
-        return self.get(name).version
 
     def names(self) -> List[str]:
         with self._lock:
-            return sorted(self._versions)
+            return sorted(self._entries)
 
-    def is_stale(self, name: str, version: Optional[int] = None) -> bool:
-        """True if the published snapshot no longer matches its weights."""
-        return self.get(name, version).is_stale()
+    def is_stale(self, name: str) -> bool:
+        """True if the live snapshot no longer matches its weights."""
+        return self.get(name).is_stale()
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
-            return name in self._versions
+            return name in self._entries
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(v) for v in self._versions.values())
+            return len(self._entries)

@@ -6,7 +6,10 @@ a single batcher thread drains the queue, coalesces up to
 stragglers), groups them by input shape, and runs one model forward per
 group.  The model is resolved from a :class:`~repro.serving.ModelRegistry`
 on every batch, so publishing a new version under the service's name
-hot-swaps the weights without a restart.
+hot-swaps the weights without a restart.  Between batches the service
+keeps only the served version's key and its compiled plans, so once a
+batch has run on a newly published version nothing in the service
+refers to the old one.
 
 Concurrency is plain ``threading`` on purpose: process-level parallelism
 lives in :mod:`repro.parallel` (lint rule RPR006), and the service is
@@ -28,7 +31,6 @@ from ..engine import ExecutionEngine
 from ..nn.autograd import no_grad
 from ..nn.tensor import Tensor
 from ..telemetry import MetricsRegistry
-from .cache import EmbeddingCache
 from .registry import ModelRegistry
 
 __all__ = ["EmbeddingService", "ServingFuture"]
@@ -82,19 +84,15 @@ class EmbeddingService:
     Parameters
     ----------
     registry, model_name:
-        Where to resolve the serving model; the *latest* published
-        version wins, re-resolved on every batch.
+        Where to resolve the serving model; the live published version
+        is re-resolved on every batch.
     max_batch_size, max_wait_ms:
         Batching knobs: a batch launches as soon as it is full or the
         oldest request has waited ``max_wait_ms``.
-    cache:
-        Optional :class:`EmbeddingCache`; hits skip the forward pass
-        entirely and are keyed on the resolved model version.
     metrics:
         Optional shared :class:`~repro.telemetry.MetricsRegistry`; the
         service creates a private one when omitted.  Series:
         ``serving.requests`` / ``serving.batches`` / ``serving.errors``
-        counters, ``serving.cache_hits`` / ``serving.cache_misses``
         counters, ``serving.engine_plan_hits`` /
         ``serving.engine_plan_misses`` / ``serving.engine_retraces`` /
         ``serving.engine_fallbacks`` counters, ``serving.latency_ms`` /
@@ -115,7 +113,6 @@ class EmbeddingService:
         *,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        cache: Optional[EmbeddingCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         engine: str = "trace",
     ) -> None:
@@ -129,7 +126,6 @@ class EmbeddingService:
         self.model_name = model_name
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.cache = cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.engine = ExecutionEngine(mode=engine, training=False)
         self._queue: "queue.Queue[object]" = queue.Queue()
@@ -140,9 +136,6 @@ class EmbeddingService:
         self._m_requests = self.metrics.counter("serving.requests", **labels)
         self._m_batches = self.metrics.counter("serving.batches", **labels)
         self._m_errors = self.metrics.counter("serving.errors", **labels)
-        self._m_hits = self.metrics.counter("serving.cache_hits", **labels)
-        self._m_misses = self.metrics.counter("serving.cache_misses",
-                                              **labels)
         self._m_latency = self.metrics.histogram("serving.latency_ms",
                                                  **labels)
         self._m_batch_size = self.metrics.histogram("serving.batch_size",
@@ -255,53 +248,30 @@ class EmbeddingService:
             self._serve_group(group)
 
     def _serve_group(self, requests: List[_Request]) -> None:
-        done = time.perf_counter  # resolve once; used after the forward
         try:
             entry = self.registry.get(self.model_name)
-            model = entry.model
             if entry.key != self._served_key:
                 # A new version supersedes every plan traced for the old one.
                 self.engine.invalidate()
-                model.eval()
+                entry.model.eval()
                 self._served_key = entry.key
-            results: List[Optional[np.ndarray]] = [None] * len(requests)
-            misses: List[int] = []
-            keys: List[Optional[Tuple[str, int, str]]] = [None] * len(requests)
-            if self.cache is not None:
-                for i, request in enumerate(requests):
-                    keys[i] = self.cache.key(
-                        entry.name, entry.version, request.x
-                    )
-                    results[i] = self.cache.get(keys[i])
-                    if results[i] is None:
-                        misses.append(i)
-                self._m_hits.inc(len(requests) - len(misses))
-                self._m_misses.inc(len(misses))
-            else:
-                misses = list(range(len(requests)))
-            if misses:
-                stacked = np.stack([requests[i].x for i in misses])
-                out = self._forward(model, entry, stacked)
-                for row, i in enumerate(misses):
-                    results[i] = out[row]
-                    if self.cache is not None and keys[i] is not None:
-                        self.cache.put(keys[i], out[row])
+            stacked = np.stack([request.x for request in requests])
+            out = self._forward(entry, stacked)
             self._m_batches.inc()
             self._m_batch_size.observe(float(len(requests)))
-            finished = done()
-            for request, result in zip(requests, results):
+            finished = time.perf_counter()
+            for request, row in zip(requests, out):
                 self._m_latency.observe(
                     (finished - request.enqueued) * 1000.0
                 )
-                assert result is not None
-                request.future.set_result(result)
+                request.future.set_result(row)
         except BaseException as exc:  # propagate to callers, keep serving
             self._m_errors.inc(len(requests))
             for request in requests:
                 if not request.future.done():
                     request.future.set_exception(exc)
 
-    def _forward(self, model, entry, stacked: np.ndarray) -> np.ndarray:
+    def _forward(self, entry, stacked: np.ndarray) -> np.ndarray:
         """One batched forward, replayed from a compiled plan when possible.
 
         Plans are keyed on (model version, batch shape): a hot-swap
@@ -316,7 +286,7 @@ class EmbeddingService:
 
         def eager_fn():
             with no_grad():
-                return model(x), {}
+                return entry.model(x), {}
 
         before = self.engine.stats()
         result = self.engine.execute(signature, {"x": x}, None, eager_fn)

@@ -61,6 +61,25 @@ class TestBinaryQuantizer:
             BinaryQuantizer.fit_median(np.zeros((0, 4)))
 
 
+class TestPackBits:
+    def test_bool_and_integer_bits_pack_to_the_same_bytes(self, rng):
+        bits = rng.random((37, 130)) < 0.5
+        codes = binary_module.pack_bits(bits)
+        assert codes.tobytes() == binary_module.pack_bits(
+            bits.astype(np.int64)).tobytes()
+
+    def test_packing_does_not_copy_the_bit_matrix(self, rng):
+        bits = rng.random((20_000, 64)) < 0.5
+        binary_module.pack_bits(bits[:2])  # warm any lazy imports
+        tracemalloc.start()
+        codes = binary_module.pack_bits(bits)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # packed bytes plus the zero-padded words: two code-sized
+        # buffers.  A uint8 copy of the bits alone is 8x the codes.
+        assert peak <= 3 * codes.nbytes, (peak, codes.nbytes)
+
+
 class TestBinaryIndex:
     def test_ids_are_assignment_order(self, rng):
         index, items = make_index(rng, n=10)

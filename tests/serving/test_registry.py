@@ -1,5 +1,8 @@
 """ModelRegistry: versioning, resolution, and staleness detection."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,6 @@ class TestPublishAndGet:
         reg.publish("enc", first)
         reg.publish("enc", second)
         assert reg.get("enc").model is second
-        assert reg.get("enc", version=1).model is first
-        assert reg.latest_version("enc") == 2
 
     def test_unknown_name_raises_with_candidates(self):
         reg = ModelRegistry()
@@ -33,18 +34,23 @@ class TestPublishAndGet:
         with pytest.raises(KeyError, match="typo.*enc|enc"):
             reg.get("typo")
 
-    def test_unknown_version_raises(self):
+    def test_publish_drops_the_superseded_model(self):
         reg = ModelRegistry()
-        reg.publish("enc", linear())
-        with pytest.raises(KeyError, match="versions 1..1"):
-            reg.get("enc", version=5)
+        first = linear(0)
+        reg.publish("enc", first)
+        old = weakref.ref(first)
+        del first
+        entry = reg.publish("enc", linear(1))
+        gc.collect()
+        assert old() is None
+        assert reg.get("enc") is entry
 
     def test_container_protocol(self):
         reg = ModelRegistry()
         reg.publish("enc", linear())
         reg.publish("enc", linear(1))
         assert "enc" in reg and "other" not in reg
-        assert len(reg) == 2
+        assert len(reg) == 1
         assert reg.names() == ["enc"]
 
 
@@ -67,8 +73,8 @@ class TestFingerprint:
     def test_republish_clears_staleness(self):
         reg = ModelRegistry()
         model = linear()
-        reg.publish("enc", model)
+        superseded = reg.publish("enc", model)
         model.weight.data = model.weight.data * 2.0  # noqa: RPR002 - version bump under test
         reg.publish("enc", model)
         assert not reg.is_stale("enc")       # latest snapshot is fresh
-        assert reg.is_stale("enc", version=1)
+        assert superseded.is_stale()

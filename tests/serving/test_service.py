@@ -1,6 +1,8 @@
-"""EmbeddingService: batching, hot swap, caching, failure propagation."""
+"""EmbeddingService: batching, hot swap, release, failure propagation."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from repro import nn
 from repro.nn.autograd import no_grad
 from repro.nn.tensor import Tensor
 from repro.quant import calibrate, convert, prepare
-from repro.serving import EmbeddingCache, EmbeddingService, ModelRegistry
+from repro.serving import EmbeddingService, ModelRegistry
 
 
 def make_registry(seed=0, name="enc"):
@@ -97,30 +99,23 @@ class TestHotSwap:
         assert not np.allclose(before, after)
 
 
-class TestCaching:
-    def test_repeat_inputs_hit_cache(self, rng):
-        reg = make_registry()
-        cache = EmbeddingCache(capacity=8)
-        x = rng.normal(size=(6,))
-        with EmbeddingService(reg, "enc", max_wait_ms=0.5,
-                              cache=cache) as svc:
-            first = svc.embed(x)
-            second = svc.embed(x)
-        assert np.array_equal(first, second)
-        assert cache.hits >= 1
-        assert svc.metrics.counter("serving.cache_hits",
-                                   model="enc").value >= 1
-
-    def test_new_version_does_not_reuse_old_embeddings(self, rng):
+class TestRelease:
+    @pytest.mark.parametrize("engine", ["trace", "eager"])
+    def test_serving_a_new_version_frees_the_old_model(self, rng, engine):
         reg = make_registry(seed=0)
-        cache = EmbeddingCache(capacity=8)
+        model = reg.get("enc").model
+        old_model, old_weight = weakref.ref(model), weakref.ref(model.weight)
+        del model
         x = rng.normal(size=(6,))
         with EmbeddingService(reg, "enc", max_wait_ms=0.5,
-                              cache=cache) as svc:
-            stale = svc.embed(x)
+                              engine=engine) as svc:
+            svc.embed(x)
+            svc.embed(x)           # a traced plan now holds the weight
             reg.publish("enc", nn.Linear(6, 3, rng=np.random.default_rng(9)))
-            fresh = svc.embed(x)
-        assert not np.allclose(stale, fresh)
+            svc.embed(x)           # first batch on version 2
+            gc.collect()
+            assert old_model() is None
+            assert old_weight() is None
 
 
 class TestFailures:
