@@ -12,9 +12,7 @@ from .augment import (
     Augmentation,
     ColorJitter,
     Compose,
-    Cutout,
     GaussianBlur,
-    GaussianNoise,
     RandomGrayscale,
     RandomHorizontalFlip,
     RandomResizedCrop,
@@ -46,8 +44,6 @@ __all__ = [
     "ColorJitter",
     "RandomGrayscale",
     "GaussianBlur",
-    "GaussianNoise",
-    "Cutout",
     "TwoViewTransform",
     "simclr_augmentations",
 ]

@@ -34,8 +34,6 @@ __all__ = [
     "ColorJitter",
     "RandomGrayscale",
     "GaussianBlur",
-    "GaussianNoise",
-    "Cutout",
     "TwoViewTransform",
     "simclr_augmentations",
 ]
@@ -286,59 +284,6 @@ def _separable_blur(images: np.ndarray, kernel: np.ndarray,
     for i, tap in enumerate(taps):
         final += tap * padded[:, :, :, i : i + w]
     return final
-
-
-class GaussianNoise(Augmentation):
-    def __init__(self, std: float = 0.02) -> None:
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std}")
-        self.std = std
-
-    def draw(self, rng, shape):
-        """The image's additive noise, or None when ``std`` is 0."""
-        if self.std == 0:
-            return None
-        return rng.normal(0, self.std, size=shape)
-
-    def apply(self, batch, params):
-        if self.std == 0:
-            return batch
-        noisy = batch + np.stack(params)
-        return np.clip(noisy, 0.0, 1.0).astype(np.float32)
-
-
-class Cutout(Augmentation):
-    """Zero a random square patch."""
-
-    def __init__(self, size_fraction: float = 0.25, p: float = 0.5) -> None:
-        self.size_fraction = size_fraction
-        self.p = p
-
-    def _patch(self, h: int, w: int) -> Tuple[int, int]:
-        return max(1, int(h * self.size_fraction)), max(1, int(w * self.size_fraction))
-
-    def draw(self, rng, shape):
-        """The patch's ``(top, left)``, or None when the image stays whole."""
-        if rng.random() >= self.p:
-            return None
-        _, h, w = shape
-        ch, cw = self._patch(h, w)
-        top = rng.integers(0, h - ch + 1)
-        left = rng.integers(0, w - cw + 1)
-        return top, left
-
-    def apply(self, batch, params):
-        cut = np.array([p is not None for p in params])
-        if not cut.any():
-            return batch
-        h, w = batch.shape[2:]
-        ch, cw = self._patch(h, w)
-        top, left = np.array([p or (0, 0) for p in params]).T
-        rows = np.arange(h) - top[:, None]
-        cols = np.arange(w) - left[:, None]
-        patch = (cut[:, None, None] & ((rows >= 0) & (rows < ch))[:, :, None]
-                 & ((cols >= 0) & (cols < cw))[:, None, :])
-        return np.where(patch[:, None], batch.dtype.type(0), batch)
 
 
 class TwoViewTransform:

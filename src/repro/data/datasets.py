@@ -51,16 +51,6 @@ class ArrayDataset(Dataset):
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def save(self, path: str) -> None:
-        """Persist images and labels to a compressed ``.npz`` file."""
-        np.savez_compressed(path, images=self.images, labels=self.labels)
-
-    @classmethod
-    def load(cls, path: str) -> "ArrayDataset":
-        """Load a dataset written by :meth:`save`."""
-        with np.load(path) as archive:
-            return cls(archive["images"], archive["labels"])
-
 
 class Subset(Dataset):
     """View of a dataset restricted to ``indices``."""

@@ -19,12 +19,13 @@ by the next.
 A plan holds no array of its step between replays.  Compilation drops
 the traced step's tensors (each record's ``out`` and each ctx's
 ``parents``); each replay hands out its root and taps, then clears its
-slots and inputs.  A training plan also releases every op's saved
-backward state (:meth:`Function.release`) at compile time and after
-each replay's backward; an inference plan keeps its ctx attributes
-readable, and its forwards save no backward state.  Any compilation
-surprise raises :class:`PlanError` (a :class:`TraceError`), which the
-engine converts into a permanent eager fallback for that signature.
+slots and inputs.  Every plan also releases each op's saved state
+(:meth:`Function.release`) at compile time and after each replay (a
+training plan once its backward has run), since an op's forward saves
+state even under ``no_grad``: ``Relu`` its mask, ``MatMul`` its
+operands.  Any compilation surprise raises :class:`PlanError` (a
+:class:`TraceError`), which the engine converts into a permanent eager
+fallback for that signature.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ class Plan:
                         seen.add(id(ref.param))
                         params.append(ref.param)
             self._version_guard = tuple((p, p.version) for p in params)
-        # No replay reads the traced step's tensors.  The traced step
-        # has run its backward, so a training plan releases its state.
+        # No replay reads the traced step's tensors or its ops' saved
+        # state: the traced step has run its backward, if it has one.
         for record in records:
             record.out = None
             record.ctx.parents = ()
@@ -243,10 +244,9 @@ class Plan:
         return result
 
     def _release(self) -> None:
-        """Release each op's saved state (training plans only)."""
-        if self.training:
-            for record in self.records:
-                record.ctx.release()
+        """Release each op's saved state."""
+        for record in self.records:
+            record.ctx.release()
 
     def _run_backward(self) -> None:
         grads: List[Optional[np.ndarray]] = [None] * self._num_gids

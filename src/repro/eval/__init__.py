@@ -12,14 +12,12 @@ from .detection import DetectionModel, YoloLiteHead, evaluate_detection, train_d
 from .finetune import FinetuneResult, attach_classifier, finetune
 from .knn import knn_classify, knn_evaluation
 from .linear_eval import extract_features, linear_evaluation
-from .metrics import accuracy, confusion_matrix, topk_accuracy
+from .metrics import accuracy
 from .robustness import area_under_precision_curve, precision_sweep
 from .tsne import linear_separability, tsne
 
 __all__ = [
     "accuracy",
-    "topk_accuracy",
-    "confusion_matrix",
     "attach_classifier",
     "finetune",
     "FinetuneResult",

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["accuracy", "topk_accuracy", "confusion_matrix"]
+__all__ = ["accuracy"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -18,24 +16,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float((logits.argmax(axis=1) == labels).mean())
-
-
-def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy: fraction of labels within the k highest logits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if k < 1 or k > logits.shape[1]:
-        raise ValueError(f"k must be in [1, {logits.shape[1]}], got {k}")
-    topk = np.argsort(-logits, axis=1)[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(C, C) counts with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix

@@ -6,8 +6,6 @@ from .runner import (
     finetune_grid,
     linear_eval_point,
     pretrain,
-    run_method_table,
-    sweep_method_table,
     untrained_outcome,
 )
 from .tables import format_table, render_grid_rows
@@ -20,8 +18,6 @@ __all__ = [
     "pretrain",
     "finetune_grid",
     "linear_eval_point",
-    "run_method_table",
-    "sweep_method_table",
     "untrained_outcome",
     "format_table",
     "render_grid_rows",

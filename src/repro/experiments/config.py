@@ -8,7 +8,7 @@ budget; an :class:`EvalProtocol` fixes the downstream measurement grid.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 __all__ = ["MethodSpec", "PretrainConfig", "EvalProtocol"]
 
@@ -112,12 +112,3 @@ class EvalProtocol:
                 raise ValueError(f"bad label fraction {fraction}")
         if self.num_seeds < 1:
             raise ValueError(f"num_seeds must be >= 1, got {self.num_seeds}")
-
-    def column_labels(self) -> Sequence[str]:
-        """Human-readable labels matching the paper's table headers."""
-        labels = []
-        for precision in self.precisions:
-            tag = "FP" if precision is None else f"{precision}-bit"
-            for fraction in self.label_fractions:
-                labels.append(f"{tag} {int(fraction * 100)}% labels")
-        return labels

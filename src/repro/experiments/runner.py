@@ -19,7 +19,6 @@ from ..contrastive import (
 )
 from ..data import DataLoader, TwoViewTransform, simclr_augmentations
 from ..data.datasets import ArrayDataset
-from ..data.synthetic import SyntheticImages
 from ..eval import finetune, linear_evaluation
 from ..models import create_encoder
 from ..nn.optim import Adam
@@ -32,8 +31,6 @@ __all__ = [
     "pretrain",
     "finetune_grid",
     "linear_eval_point",
-    "run_method_table",
-    "sweep_method_table",
     "untrained_outcome",
 ]
 
@@ -303,86 +300,3 @@ def linear_eval_point(
         precision=precision,
         rng=np.random.default_rng(protocol.seed),
     )
-
-
-def _method_table_job(
-    method: MethodSpec,
-    train: ArrayDataset,
-    test: ArrayDataset,
-    config: PretrainConfig,
-    protocol: EvalProtocol,
-    telemetry_dir: Optional[str] = None,
-) -> Dict[GridKey, float]:
-    """One sweep job: pretrain one method and fine-tune over the grid.
-
-    Top-level (not a closure) so the process-pool sweep backend can
-    pickle it; every argument is a plain dataclass or array dataset.
-    """
-    outcome = pretrain(method, train, config, telemetry_dir=telemetry_dir)
-    return finetune_grid(outcome, train, test, protocol)
-
-
-def sweep_method_table(
-    methods: List[MethodSpec],
-    data: SyntheticImages,
-    config: PretrainConfig,
-    protocol: EvalProtocol,
-    jobs: int = 2,
-    telemetry_root: Optional[Union[str, pathlib.Path]] = None,
-    backend: str = "auto",
-):
-    """Run one method table as a crash-isolated parallel sweep.
-
-    Returns the :class:`repro.parallel.SweepResult`: per-method grids are
-    in ``.values()``, failures carry structured error reports instead of
-    aborting the other rows, and each job logs telemetry under its own
-    ``telemetry_root`` subdirectory.
-    """
-    from ..parallel import SweepExecutor, SweepJob
-
-    executor = SweepExecutor(max_workers=jobs, backend=backend,
-                             telemetry_root=telemetry_root)
-    return executor.run([
-        SweepJob(
-            name=method.name,
-            fn=_method_table_job,
-            kwargs={
-                "method": method,
-                "train": data.train,
-                "test": data.test,
-                "config": config,
-                "protocol": protocol,
-            },
-        )
-        for method in methods
-    ])
-
-
-def run_method_table(
-    methods: List[MethodSpec],
-    data: SyntheticImages,
-    config: PretrainConfig,
-    protocol: EvalProtocol,
-    jobs: int = 1,
-    telemetry_root: Optional[Union[str, pathlib.Path]] = None,
-) -> Dict[str, Dict[GridKey, float]]:
-    """Pretrain every method and fine-tune over the grid (one table).
-
-    With ``jobs > 1`` the rows run as a process-parallel sweep (order of
-    the returned table still follows ``methods``); any failed row raises
-    with the collected error reports.
-    """
-    if jobs > 1:
-        sweep = sweep_method_table(
-            methods, data, config, protocol, jobs=jobs,
-            telemetry_root=telemetry_root,
-        ).raise_failures()
-        values = sweep.values()
-        return {method.name: values[method.name] for method in methods}
-    table: Dict[str, Dict[GridKey, float]] = {}
-    for method in methods:
-        outcome = pretrain(method, data.train, config)
-        table[method.name] = finetune_grid(
-            outcome, data.train, data.test, protocol
-        )
-    return table

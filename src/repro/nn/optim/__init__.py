@@ -2,15 +2,7 @@
 
 from .adam import Adam
 from .clip import clip_grad_norm, global_grad_norm
-from .lars import LARS
-from .lr_scheduler import (
-    ConstantLR,
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-    WarmupCosineLR,
-)
+from .lr_scheduler import ConstantLR, CosineAnnealingLR, LRScheduler
 from .optimizer import Optimizer
 from .sgd import SGD
 
@@ -18,13 +10,9 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "LARS",
     "LRScheduler",
     "ConstantLR",
     "CosineAnnealingLR",
-    "WarmupCosineLR",
-    "StepLR",
-    "MultiStepLR",
     "clip_grad_norm",
     "global_grad_norm",
 ]

@@ -1,20 +1,18 @@
-"""Learning-rate schedulers driving ``Optimizer.lr``."""
+"""Learning-rate schedulers driving ``Optimizer.lr``.
+
+Pre-training runs Adam at a fixed rate; the fine-tuning, linear and
+detection evaluations run SGD under :class:`CosineAnnealingLR`, the
+paper's schedule.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict
 
 from .optimizer import Optimizer
 
-__all__ = [
-    "LRScheduler",
-    "ConstantLR",
-    "CosineAnnealingLR",
-    "WarmupCosineLR",
-    "StepLR",
-    "MultiStepLR",
-]
+__all__ = ["LRScheduler", "ConstantLR", "CosineAnnealingLR"]
 
 
 class LRScheduler:
@@ -80,65 +78,3 @@ class CosineAnnealingLR(LRScheduler):
         return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
             1.0 + math.cos(math.pi * progress)
         )
-
-
-class WarmupCosineLR(LRScheduler):
-    """Linear warmup followed by cosine decay (SimCLR pre-training)."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        warmup_epochs: int,
-        total_epochs: int,
-        min_lr: float = 0.0,
-    ) -> None:
-        super().__init__(optimizer)
-        if total_epochs <= warmup_epochs:
-            raise ValueError(
-                f"total_epochs ({total_epochs}) must exceed "
-                f"warmup_epochs ({warmup_epochs})"
-            )
-        self.warmup_epochs = warmup_epochs
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def get_lr(self, epoch: int) -> float:
-        if self.warmup_epochs > 0 and epoch < self.warmup_epochs:
-            return self.base_lr * (epoch + 1) / self.warmup_epochs
-        span = self.total_epochs - self.warmup_epochs
-        progress = min(epoch - self.warmup_epochs, span) / span
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + math.cos(math.pi * progress)
-        )
-
-
-class StepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` at each epoch in ``milestones``."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        milestones: Sequence[int],
-        gamma: float = 0.1,
-    ) -> None:
-        super().__init__(optimizer)
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        passed = len([m for m in self.milestones if m <= epoch])
-        return self.base_lr * self.gamma ** passed

@@ -11,6 +11,12 @@ by roughly ``nprobe / num_cells``.  :meth:`IVFIndex.flat` builds the
 exhaustive index: one cell centred on the origin, scanned by the same
 code.
 
+Distances are squared L2: ADC estimates for PQ codes, Hamming for
+binary codes, exact float32 in the rerank.  The embeddings
+:class:`~repro.retrieval.RetrievalService` indexes are unit-norm, for
+which ``||q - x||^2 = 2 - 2 <q, x>``, so squared L2 and inner product
+rank alike.
+
 Two encoders are supported:
 
 - :class:`~repro.retrieval.ProductQuantizer` — **residual** PQ codes
@@ -24,8 +30,8 @@ Two encoders are supported:
   The bias is precomputed float32 at ``add()`` time; a distance is the
   float32 base (bias + coarse term) plus the M gathered table entries,
   added in subspace order.  The per-query tables do not depend on the
-  cell.  With the origin cell the coarse term is ``||q||^2`` (``0`` for
-  ``"ip"``) and the residual is the item itself.
+  cell.  With the origin cell the coarse term is ``||q||^2`` and the
+  residual is the item itself.
 - :class:`~repro.retrieval.BinaryQuantizer` — raw packed sign codes and
   integer Hamming scans.  Because the distances ignore the partition,
   ``nprobe=num_cells`` returns results **id-for-id identical** to the
@@ -56,8 +62,6 @@ from .rerank import FloatStore, rerank_exact
 from .vq import ProductQuantizer, VectorQuantizer
 
 __all__ = ["IVFIndex"]
-
-_METRICS = ("l2", "ip")
 
 # Cap on (query, row) pairs scored per tile: bounds every scan scratch
 # buffer whatever the corpus size, nprobe or query count.
@@ -255,9 +259,6 @@ class IVFIndex:
     encoder:
         :class:`ProductQuantizer` (residual ADC cells) or
         :class:`BinaryQuantizer` (raw Hamming cells).
-    metric:
-        ``"l2"`` or ``"ip"`` for PQ cells; binary cells rank by Hamming
-        distance and require ``"l2"`` (also used by the rerank stage).
     nprobe:
         Default number of cells scanned per query; override per call.
         Probing automatically widens past ``nprobe`` when the visited
@@ -266,8 +267,7 @@ class IVFIndex:
     """
 
     def __init__(self, coarse: VectorQuantizer, encoder: Encoder, *,
-                 metric: str = "l2", nprobe: int = 8,
-                 query_block: int = 32,
+                 nprobe: int = 8, query_block: int = 32,
                  store_embeddings: bool = False) -> None:
         if not isinstance(coarse, VectorQuantizer):
             raise TypeError(
@@ -276,12 +276,11 @@ class IVFIndex:
             )
         self.coarse: Optional[VectorQuantizer] = coarse
         self._setup(np.array(coarse.codebook.data, dtype=np.float32),
-                    _check_encoder(encoder), metric, nprobe, query_block,
+                    _check_encoder(encoder), nprobe, query_block,
                     store_embeddings)
 
     @classmethod
-    def flat(cls, encoder: Encoder, *, metric: str = "l2",
-             query_block: int = 32,
+    def flat(cls, encoder: Encoder, *, query_block: int = 32,
              store_embeddings: bool = False) -> "IVFIndex":
         """Exhaustive index: one cell whose centroid is the origin.
 
@@ -293,27 +292,17 @@ class IVFIndex:
         index = cls.__new__(cls)
         index.coarse = None
         index._setup(np.zeros((1, encoder.dim), dtype=np.float32), encoder,
-                     metric, 1, query_block, store_embeddings)
+                     1, query_block, store_embeddings)
         return index
 
-    def _setup(self, centroids: np.ndarray, encoder: Encoder, metric: str,
-               nprobe: int, query_block: int,
-               store_embeddings: bool) -> None:
+    def _setup(self, centroids: np.ndarray, encoder: Encoder, nprobe: int,
+               query_block: int, store_embeddings: bool) -> None:
         if encoder.dim != centroids.shape[1]:
             raise ValueError(
                 f"encoder dim {encoder.dim} != coarse dim "
                 f"{centroids.shape[1]}"
             )
-        if metric not in _METRICS:
-            raise ValueError(
-                f"metric must be one of {_METRICS}, got {metric!r}"
-            )
         self._binary = isinstance(encoder, BinaryQuantizer)
-        if self._binary and metric != "l2":
-            raise ValueError(
-                "binary cells rank by Hamming distance; only metric='l2' "
-                "is supported (it also drives the rerank stage)"
-            )
         num_cells = centroids.shape[0]
         if not 1 <= nprobe <= num_cells:
             raise ValueError(
@@ -323,7 +312,6 @@ class IVFIndex:
             raise ValueError(f"query_block must be >= 1, got {query_block}")
         self._centroids = centroids
         self.encoder = encoder
-        self.metric = metric
         self.nprobe = int(nprobe)
         self.query_block = int(query_block)
         if self._binary:
@@ -343,7 +331,7 @@ class IVFIndex:
     @classmethod
     def fit(cls, embeddings: np.ndarray, *, num_cells: int,
             num_subspaces: int, num_codes: int = 256,
-            metric: str = "l2", nprobe: int = 8, epochs: int = 5,
+            nprobe: int = 8, epochs: int = 5,
             batch_size: int = 1024, seed: int = 0, tol: float = 0.0,
             store_embeddings: bool = False) -> "IVFIndex":
         """Train coarse cells + residual PQ on a sample; returns an
@@ -363,7 +351,7 @@ class IVFIndex:
                                    num_codes, rng=derive_rng(seed, 11))
         encoder.fit(residuals, epochs=epochs, batch_size=batch_size,
                     seed=seed + 1, tol=tol)
-        return cls(coarse, encoder, metric=metric, nprobe=nprobe,
+        return cls(coarse, encoder, nprobe=nprobe,
                    store_embeddings=store_embeddings)
 
     @classmethod
@@ -483,13 +471,7 @@ class IVFIndex:
 
     def _residual_bias(self, codes: np.ndarray,
                        centroids: np.ndarray) -> np.ndarray:
-        """Per-item ADC bias (float32): ``2 <c, e> + ||e||^2`` for L2.
-
-        The inner-product decomposition ``-<q, c + e>`` has no
-        query-independent item term, so the bias is zero there.
-        """
-        if self.metric == "ip":
-            return np.zeros(codes.shape[0], dtype=np.float32)
+        """Per-item ADC bias (float32): ``2 <c, e> + ||e||^2``."""
         recon = self.encoder.decode(codes).astype(np.float64)
         bias = (2.0 * np.einsum("nd,nd->n", centroids, recon)
                 + np.einsum("nd,nd->n", recon, recon))
@@ -505,8 +487,8 @@ class IVFIndex:
         ``(distance, id)``.
 
         Returns ``(ids, distances)``, both ``(Q, min(k, len(self)))``.
-        PQ cells yield float32 ADC distances (``"ip"``: negated inner
-        products); binary cells yield integer Hamming distances.
+        PQ cells yield float32 squared-L2 ADC distances; binary cells
+        yield integer Hamming distances.
         ``rerank=R`` re-scores the top-``R`` shortlist exactly against
         the float store (requires ``store_embeddings=True``).
         """
@@ -552,25 +534,22 @@ class IVFIndex:
         return queries, nprobe, rerank
 
     def _coarse_distances(self, queries: np.ndarray) -> np.ndarray:
-        """``(Q, num_cells)`` float32 coarse terms (squared L2 or -ip).
+        """``(Q, num_cells)`` float32 coarse terms (squared L2).
 
         Computed in float64 then cast, like the ADC tables, so probe
         order and the PQ coarse term never vary with blocking.
         """
         centroids = self._centroids.astype(np.float64)
         inner = queries @ centroids.T
-        if self.metric == "l2":
-            dists = (np.sum(queries ** 2, axis=1)[:, None]
-                     - 2.0 * inner
-                     + np.sum(centroids ** 2, axis=1)[None, :])
-        else:
-            dists = -inner
+        dists = (np.sum(queries ** 2, axis=1)[:, None]
+                 - 2.0 * inner
+                 + np.sum(centroids ** 2, axis=1)[None, :])
         return dists.astype(np.float32)
 
     def _query_operand(self, queries: np.ndarray) -> np.ndarray:
         """Per-query scan operand, indexed by query on axis 0: packed
         codes for binary cells, ``(Q, M, K)`` float32 residual tables
-        ``-2 <q_m, e_mk>`` (``"ip"``: ``-<q_m, e_mk>``) for PQ cells.
+        ``-2 <q_m, e_mk>`` for PQ cells.
 
         The tables are computed in float64 and cast, so a query's row
         never depends on the other queries in its block.
@@ -580,11 +559,10 @@ class IVFIndex:
             return enc.encode(queries)
         tables = np.empty((queries.shape[0], enc.num_subspaces,
                            enc.num_codes), dtype=np.float32)
-        scale = -2.0 if self.metric == "l2" else -1.0
         for m, sub in enumerate(enc.quantizers):
             part = queries[:, m * enc.subdim:(m + 1) * enc.subdim]
             codebook = sub.codebook.data.astype(np.float64)
-            tables[:, m] = scale * (part @ codebook.T)
+            tables[:, m] = -2.0 * (part @ codebook.T)
         return tables
 
     def _probes(self, coarse: np.ndarray, sizes: np.ndarray, nprobe: int,
@@ -630,8 +608,7 @@ class IVFIndex:
             return ids, dists, stats
         started = time.perf_counter()
         ids, dists = rerank_exact(self._store, queries.astype(np.float32),
-                                  ids, k, metric=self.metric,
-                                  query_block=self.query_block)
+                                  ids, k, query_block=self.query_block)
         stats["rerank_s"] = time.perf_counter() - started
         return ids, dists, stats
 

@@ -3,10 +3,11 @@
 The operating point that makes coarse codes usable at scale (PAPERS.md's
 binary-quantization analysis): the quantized scan is a *candidate
 generator* — fetch the top ``R`` items by Hamming/ADC distance, then
-re-score exactly against retained float32 rows and return the true
-top-k.  Recall@k after reranking is monotone non-decreasing in ``R``:
-an oracle-top-k item in the shortlist can only be displaced by globally
-closer items, of which there are fewer than ``k`` by definition.
+re-score exactly by squared L2 against retained float32 rows and return
+the true top-k.  Recall@k after reranking is monotone non-decreasing in
+``R``: an oracle-top-k item in the shortlist can only be displaced by
+globally closer items, of which there are fewer than ``k`` by
+definition.
 
 :class:`FloatStore` is the higher-precision side store an index keeps
 when constructed with ``store_embeddings=True`` — append-only float32
@@ -43,8 +44,6 @@ import numpy as np
 from .ranking import rowwise_topk
 
 __all__ = ["FloatStore", "rerank_exact"]
-
-_METRICS = ("l2", "ip")
 
 # Cap on the float32 bytes one rerank block gathers (or one query's
 # shortlist, if larger); the rerank's counterpart of ivf's
@@ -158,18 +157,15 @@ class FloatStore:
 
 def rerank_exact(store: FloatStore, queries: np.ndarray,
                  shortlist_ids: np.ndarray, k: int, *,
-                 metric: str = "l2",
                  query_block: int = 32) -> Tuple[np.ndarray, np.ndarray]:
     """Exact top-k over a quantized shortlist, ascending ``(distance, id)``.
 
     ``queries`` are ``(Q, dim)`` floats, ``shortlist_ids`` the scan's
-    ``(Q, R)`` candidates.  Distances are the true metric on the stored
-    float32 rows — squared L2 for ``"l2"``, negated inner product for
-    ``"ip"`` — so reranked results are directly comparable to the float
-    oracle (identical on unit-norm data when ``R`` covers the corpus).
+    ``(Q, R)`` candidates.  Distances are squared L2 on the stored
+    float32 rows, so reranked results are directly comparable to the
+    float oracle (identical on unit-norm data when ``R`` covers the
+    corpus).
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
     queries = np.asarray(queries, dtype=np.float32)
     shortlist_ids = np.asarray(shortlist_ids, dtype=np.int64)
     if queries.ndim != 2 or queries.shape[1] != store.dim:
@@ -197,11 +193,8 @@ def rerank_exact(store: FloatStore, queries: np.ndarray,
         block_q = queries[start:start + block]
         vectors = scratch[:block_ids.shape[0]]
         _take(blocks, block_ids, vectors)
-        if metric == "l2":
-            np.subtract(vectors, block_q[:, None, :], out=vectors)
-            dists = np.einsum("qrd,qrd->qr", vectors, vectors)
-        else:
-            dists = -np.einsum("qrd,qd->qr", vectors, block_q)
+        np.subtract(vectors, block_q[:, None, :], out=vectors)
+        dists = np.einsum("qrd,qrd->qr", vectors, vectors)
         ids, top = rowwise_topk(block_ids, dists, k)
         out_ids[start:start + block] = ids
         out_dists[start:start + block] = top

@@ -6,9 +6,7 @@ import pytest
 from repro.data import (
     ColorJitter,
     Compose,
-    Cutout,
     GaussianBlur,
-    GaussianNoise,
     RandomGrayscale,
     RandomHorizontalFlip,
     RandomResizedCrop,
@@ -106,29 +104,6 @@ class TestBlurNoise:
         img = rng.random((3, 16, 16)).astype(np.float32)
         out = GaussianBlur(sigma=(0.8, 0.8), p=1.0)(img, rng)
         assert abs(out.mean() - img.mean()) < 0.02
-
-    def test_noise_changes_image(self, image, rng):
-        out = GaussianNoise(std=0.1)(image, rng)
-        assert not np.array_equal(out, image)
-
-    def test_zero_noise_identity(self, image, rng):
-        np.testing.assert_array_equal(GaussianNoise(std=0.0)(image, rng), image)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianNoise(std=-1.0)
-
-
-class TestCutout:
-    def test_zeroes_a_patch(self, rng):
-        img = np.ones((3, 16, 16), dtype=np.float32)
-        out = Cutout(size_fraction=0.25, p=1.0)(img, rng)
-        assert (out == 0).sum() == 3 * 4 * 4
-
-    def test_p0_identity(self, image, rng):
-        np.testing.assert_array_equal(
-            Cutout(p=0.0)(image, rng), image
-        )
 
 
 class TestComposeAndViews:

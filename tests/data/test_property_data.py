@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.data import (
     ColorJitter,
-    GaussianNoise,
     RandomHorizontalFlip,
     RandomResizedCrop,
     simclr_augmentations,
@@ -65,14 +64,6 @@ def test_jitter_stays_in_unit_range(spec, seed, strength):
     out = ColorJitter(strength, strength, strength)(
         image, np.random.default_rng(seed)
     )
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(images, st.integers(0, 100), st.floats(0.0, 0.3))
-def test_noise_stays_in_unit_range(spec, seed, std):
-    image = make_image(spec)
-    out = GaussianNoise(std=std)(image, np.random.default_rng(seed))
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 

@@ -55,5 +55,5 @@ def test_inference_plan_replays_without_im2col_buffers():
 
     convs = [r for r in engine.plan_for("forward").records if r.op is Conv2d]
     assert len(convs) == 20
-    assert all(r.ctx.cols is None for r in convs)
+    assert all(getattr(r.ctx, "cols", None) is None for r in convs)
     assert held < HELD_BOUND, held

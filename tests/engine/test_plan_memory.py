@@ -1,13 +1,16 @@
-"""A training plan holds no array of its step between replays.
+"""A plan holds no array of its step between replays.
 
 Compilation drops the traced step's tensors, and each replay clears its
-slots and releases every op's saved state once its backward has run.
-So what ``invalidate()`` frees is the plan's schedule alone, and its
-size does not depend on the batch.  Measured with tracemalloc on a
-GroupNorm ResNet-18 (width 1/16, 16×16) after a trace and two replays:
-about 141 KiB at batch 8 and at batch 32.  A plan that kept the traced
-step's tensors and its last replay's slots freed 1,997 KiB at batch 8
-and 7,440 KiB at batch 32.
+slots and releases every op's saved state (a training plan's once its
+backward has run).  So what ``invalidate()`` frees is the plan's
+schedule alone, and its size does not depend on the batch.  Measured
+with tracemalloc on a GroupNorm ResNet-18 (width 1/16, 16×16) after a
+trace and two replays: about 141 KiB at batch 8 and at batch 32 for a
+training plan.  A plan that kept the traced step's tensors and its last
+replay's slots freed 1,997 KiB at batch 8 and 7,440 KiB at batch 32.
+An inference plan frees about 121 KiB at both sizes; one that kept its
+ops' forward state (``Relu`` and ``AddRelu`` masks) freed 198 KiB at
+batch 8 and 397 KiB at batch 32.
 """
 
 import gc
@@ -18,6 +21,7 @@ import numpy as np
 
 from repro.engine import ExecutionEngine, run_backward
 from repro.nn import functional as F
+from repro.nn.autograd import no_grad
 from repro.nn.tensor import Tensor
 
 from .test_retrace_soak import encoder
@@ -46,9 +50,27 @@ def training_step(batch):
     return engine, step
 
 
-def bytes_freed_by_invalidate(batch):
+def inference_step(batch):
+    """An inference engine and an ``execute`` closure over its model."""
+    model = encoder()
+    model.eval()
+    engine = ExecutionEngine(training=False)
+    x = Tensor(np.random.default_rng(1).normal(size=(batch, 3, 16, 16))
+               .astype(np.float32))
+
+    def eager():
+        with no_grad():
+            return model(x), {}
+
+    def step():
+        return engine.execute("step", {"x": x}, None, eager)
+
+    return engine, step
+
+
+def bytes_freed_by_invalidate(batch, make_step=training_step):
     """Bytes ``invalidate()`` frees after a trace and two replays."""
-    engine, step = training_step(batch)
+    engine, step = make_step(batch)
     gc.collect()
     tracemalloc.start()
     try:
@@ -67,6 +89,12 @@ def bytes_freed_by_invalidate(batch):
 
 def test_plan_holds_nothing_that_grows_with_the_batch():
     small, large = bytes_freed_by_invalidate(8), bytes_freed_by_invalidate(32)
+    assert large - small < SLACK, (small, large)
+
+
+def test_inference_plan_holds_nothing_that_grows_with_the_batch():
+    small = bytes_freed_by_invalidate(8, inference_step)
+    large = bytes_freed_by_invalidate(32, inference_step)
     assert large - small < SLACK, (small, large)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval import accuracy, confusion_matrix, topk_accuracy
+from repro.eval import accuracy
 
 
 class TestAccuracy:
@@ -26,43 +26,3 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy(np.zeros((0, 2)), np.zeros(0))
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self, rng):
-        logits = rng.normal(size=(20, 5))
-        labels = rng.integers(0, 5, size=20)
-        assert topk_accuracy(logits, labels, k=1) == accuracy(logits, labels)
-
-    def test_full_k_is_one(self, rng):
-        logits = rng.normal(size=(10, 4))
-        labels = rng.integers(0, 4, size=10)
-        assert topk_accuracy(logits, labels, k=4) == 1.0
-
-    def test_monotone_in_k(self, rng):
-        logits = rng.normal(size=(50, 6))
-        labels = rng.integers(0, 6, size=50)
-        accs = [topk_accuracy(logits, labels, k) for k in range(1, 7)]
-        assert all(a <= b for a, b in zip(accs, accs[1:]))
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            topk_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
-
-
-class TestConfusion:
-    def test_diagonal_when_perfect(self):
-        preds = np.array([0, 1, 2, 0])
-        matrix = confusion_matrix(preds, preds, 3)
-        np.testing.assert_array_equal(matrix, np.diag([2, 1, 1]))
-
-    def test_rows_are_true_class(self):
-        matrix = confusion_matrix(
-            predictions=np.array([1]), labels=np.array([0]), num_classes=2
-        )
-        assert matrix[0, 1] == 1
-
-    def test_total_count(self, rng):
-        preds = rng.integers(0, 4, size=40)
-        labels = rng.integers(0, 4, size=40)
-        assert confusion_matrix(preds, labels, 4).sum() == 40

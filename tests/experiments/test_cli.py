@@ -105,6 +105,30 @@ class TestMain:
         assert exit_code == 0
         assert "Linear" in capsys.readouterr().out
 
+    def test_jobs_sweep_runs_every_method(self, capsys):
+        exit_code = main([
+            "--methods", "simclr", "cq-c",
+            "--classes", "3",
+            "--image-size", "8",
+            "--per-class", "8",
+            "--epochs", "1",
+            "--batch-size", "8",
+            "--fractions", "0.5",
+            "--finetune-epochs", "1",
+            "--jobs", "2",
+        ])
+        assert exit_code == 0
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in capsys.readouterr().out.splitlines()
+                if "|" in line]
+        methods = ("SimCLR", "CQ-C (2-8)")
+        status = [row for row in rows if row[1] in ("ok", "FAILED")]
+        assert [row[:2] for row in status] == [[m, "ok"] for m in methods]
+        table = [row for row in rows if row[0] in methods and row not in status]
+        assert [row[0] for row in table] == list(methods)
+        for row in table:
+            assert len(row) == 2 and 0.0 <= float(row[1]) <= 100.0
+
     def test_telemetry_dir_writes_run_logs(self, capsys, tmp_path):
         exit_code = main([
             "--methods", "simclr",

@@ -53,12 +53,3 @@ class TestEvalProtocol:
             EvalProtocol(label_fractions=(0.0,))
         with pytest.raises(ValueError):
             EvalProtocol(label_fractions=(1.5,))
-
-    def test_column_labels(self):
-        protocol = EvalProtocol(label_fractions=(0.1, 0.01),
-                                precisions=(None, 4))
-        labels = protocol.column_labels()
-        assert labels == [
-            "FP 10% labels", "FP 1% labels",
-            "4-bit 10% labels", "4-bit 1% labels",
-        ]

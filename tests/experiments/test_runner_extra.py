@@ -1,16 +1,11 @@
-"""Additional runner coverage: run_method_table and misc paths."""
+"""Additional runner coverage: seed averaging and misc paths."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.data import make_cifar100_like
-from repro.experiments import (
-    EvalProtocol,
-    MethodSpec,
-    PretrainConfig,
-    run_method_table,
-)
+from repro.experiments import EvalProtocol, MethodSpec, PretrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -20,20 +15,6 @@ def data():
 
 
 class TestRunMethodTable:
-    def test_two_method_comparison(self, data):
-        config = PretrainConfig(encoder="resnet18", width_multiplier=0.0625,
-                                epochs=1, batch_size=8)
-        protocol = EvalProtocol(label_fractions=(0.5,), precisions=(None,),
-                                finetune_epochs=1, batch_size=8)
-        table = run_method_table(
-            [MethodSpec("SimCLR"),
-             MethodSpec("CQ-C", variant="C", precision_set="2-8")],
-            data, config, protocol,
-        )
-        assert set(table) == {"SimCLR", "CQ-C"}
-        for grid in table.values():
-            assert set(grid) == {(None, 0.5)}
-
     def test_seed_averaging_changes_nothing_for_single_seed(self, data):
         config = PretrainConfig(encoder="resnet18", width_multiplier=0.0625,
                                 epochs=1, batch_size=8)

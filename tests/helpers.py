@@ -303,32 +303,6 @@ def blur_reference(sigma=(0.1, 1.0), p=0.5):
     return blur
 
 
-def noise_reference(std=0.02):
-    def noise(image, rng):
-        if std == 0:
-            return image
-        noisy = image + rng.normal(0, std, size=image.shape)
-        return np.clip(noisy, 0.0, 1.0).astype(np.float32)
-
-    return noise
-
-
-def cutout_reference(size_fraction=0.25, p=0.5):
-    def cutout(image, rng):
-        if rng.random() >= p:
-            return image
-        c, h, w = image.shape
-        ch = max(1, int(h * size_fraction))
-        cw = max(1, int(w * size_fraction))
-        top = rng.integers(0, h - ch + 1)
-        left = rng.integers(0, w - cw + 1)
-        out = image.copy()
-        out[:, top : top + ch, left : left + cw] = 0.0
-        return out
-
-    return cutout
-
-
 def compose_reference(ops):
     def pipeline(image, rng):
         for op in ops:
@@ -359,8 +333,7 @@ def simclr_reference(strength=1.0):
 # fresh difference array per query_block queries.
 
 
-def rerank_reference(store, queries, shortlist_ids, k, *, metric="l2",
-                     query_block=32):
+def rerank_reference(store, queries, shortlist_ids, k, *, query_block=32):
     queries = np.asarray(queries, dtype=np.float32)
     shortlist_ids = np.asarray(shortlist_ids, dtype=np.int64)
     out_ids = np.empty((queries.shape[0], min(k, shortlist_ids.shape[1])),
@@ -370,11 +343,8 @@ def rerank_reference(store, queries, shortlist_ids, k, *, metric="l2",
         block_ids = shortlist_ids[start:start + query_block]
         block_q = queries[start:start + query_block]
         vectors = store.gather(block_ids)  # (b, R, dim) float32
-        if metric == "l2":
-            delta = vectors - block_q[:, None, :]
-            dists = np.einsum("qrd,qrd->qr", delta, delta)
-        else:
-            dists = -np.einsum("qrd,qd->qr", vectors, block_q)
+        delta = vectors - block_q[:, None, :]
+        dists = np.einsum("qrd,qrd->qr", delta, delta)
         ids, top = rowwise_topk(block_ids, dists, k)
         out_ids[start:start + query_block] = ids
         out_dists[start:start + query_block] = top

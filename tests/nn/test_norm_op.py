@@ -255,4 +255,4 @@ def test_inference_plan_keeps_no_norm_state():
     norms = [r for r in engine.plan_for("forward").records
              if r.op is Normalize]
     assert len(norms) == 20
-    assert all(r.ctx.saved is None for r in norms)
+    assert all(getattr(r.ctx, "saved", None) is None for r in norms)

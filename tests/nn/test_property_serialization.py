@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, WarmupCosineLR
-from repro.nn.optim.lars import LARS
+from repro.nn.optim import SGD, Adam, CosineAnnealingLR
 from repro.nn.serialization import pack_state, unpack_state
 
 ARRAY_DTYPES = (np.float32, np.float64, np.int32, np.int64, np.uint8)
@@ -129,7 +128,6 @@ def _advance(optimizer, params, rng, steps=3):
 OPTIMIZERS = {
     "sgd": lambda ps: SGD(ps, lr=0.1, momentum=0.9),
     "adam": lambda ps: Adam(ps, lr=1e-3),
-    "lars": lambda ps: LARS(ps, lr=0.1),
 }
 
 
@@ -174,7 +172,6 @@ class TestOptimizerStateRoundTrip:
 class TestSchedulerStateRoundTrip:
     @pytest.mark.parametrize("factory", [
         lambda opt: CosineAnnealingLR(opt, t_max=10),
-        lambda opt: WarmupCosineLR(opt, warmup_epochs=2, total_epochs=10),
     ])
     def test_position_and_lr_restored(self, factory, rng):
         params = _params(rng)

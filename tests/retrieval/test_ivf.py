@@ -236,10 +236,6 @@ class TestContract:
             IVFIndex(coarse, object())
         with pytest.raises(ValueError, match="dim"):
             IVFIndex(coarse, BinaryQuantizer.sign(DIM + 1))
-        with pytest.raises(ValueError, match="metric"):
-            IVFIndex(coarse, pq, metric="cosine")
-        with pytest.raises(ValueError, match="Hamming"):
-            IVFIndex(coarse, BinaryQuantizer.sign(DIM), metric="ip")
         with pytest.raises(ValueError, match="nprobe"):
             IVFIndex(coarse, pq, nprobe=0)
         with pytest.raises(ValueError, match="nprobe"):
@@ -258,24 +254,6 @@ class TestContract:
                        nprobe=ivf.num_cells + 1)
         with pytest.raises(ValueError, match="at least one"):
             ivf.add(np.zeros((0, DIM)))
-
-    def test_ip_metric_full_probe_matches_reconstruction_ranking(self, rng):
-        corpus = make_corpus(rng, n=200)
-        base = fit_pq_ivf(corpus)
-        ivf = IVFIndex(base.coarse, base.encoder, metric="ip")
-        ivf.add(corpus)
-        queries = l2_normalize(rng.normal(size=(4, DIM)))
-        ids, dists = ivf.search(queries, k=6, nprobe=ivf.num_cells)
-        assert dists.dtype == np.float32
-        # -<q, c + e> should approximate the negated true inner product;
-        # spot-check values against a float64 reconstruction.
-        cells = _assign_cells(ivf.coarse.codebook.data, corpus)
-        centroids = ivf.coarse.codebook.data[cells].astype(np.float64)
-        codes = ivf.encoder.encode(corpus - centroids)
-        recon = centroids + ivf.encoder.decode(codes).astype(np.float64)
-        explicit = -(queries @ recon.T)
-        taken = np.take_along_axis(explicit, ids, axis=1)
-        np.testing.assert_allclose(dists, taken, atol=1e-5)
 
 
 class TestConcurrency:

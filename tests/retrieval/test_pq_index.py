@@ -43,19 +43,6 @@ class TestADCCorrectness:
         # Distances accumulate in float32 during the blocked scan.
         np.testing.assert_allclose(dists, ref_d, atol=1e-5)
 
-    def test_ip_matches_explicit_reconstruction(self, rng):
-        pq, data = make_pq()
-        index = IVFIndex.flat(pq, metric="ip")
-        index.add(data[:80])
-        queries = l2_normalize(rng.normal(size=(6, DIM)))
-        ids, dists = index.search(queries, k=5)
-
-        recon = pq.decode(pq.encode(data[:80]))
-        ref_ids, ref_d = topk_smallest(-(queries @ recon.T), 5)
-        assert (ids == ref_ids).all()
-        # Distances accumulate in float32 during the blocked scan.
-        np.testing.assert_allclose(dists, ref_d, atol=1e-5)
-
     def test_query_block_invariant(self, rng):
         pq, data = make_pq()
         small = IVFIndex.flat(pq, query_block=2)
@@ -97,8 +84,6 @@ class TestPQIndexContract:
         pq, _ = make_pq()
         with pytest.raises(TypeError):
             IVFIndex.flat(object())
-        with pytest.raises(ValueError):
-            IVFIndex.flat(pq, metric="cosine")
         with pytest.raises(ValueError):
             IVFIndex.flat(pq, query_block=0)
 

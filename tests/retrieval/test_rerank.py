@@ -95,26 +95,11 @@ class TestRerankExact:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_ip_metric_negates_inner_products(self, rng):
-        corpus = rng.normal(size=(20, 3))
-        queries = rng.normal(size=(2, 3))
-        store = FloatStore(3)
-        store.append(corpus)
-        shortlist = np.tile(np.arange(20, dtype=np.int64), (2, 1))
-        ids, dists = rerank_exact(store, queries, shortlist, k=3,
-                                  metric="ip")
-        explicit = -(queries.astype(np.float32)
-                     @ corpus.astype(np.float32).T)
-        np.testing.assert_allclose(
-            dists, np.take_along_axis(explicit, ids, axis=1), rtol=1e-6)
-
     def test_validation(self, rng):
         store = FloatStore(4)
         store.append(rng.normal(size=(5, 4)))
         queries = rng.normal(size=(2, 4))
         shortlist = np.zeros((2, 3), dtype=np.int64)
-        with pytest.raises(ValueError, match="metric"):
-            rerank_exact(store, queries, shortlist, 2, metric="cosine")
         with pytest.raises(ValueError, match="queries"):
             rerank_exact(store, rng.normal(size=(2, 5)), shortlist, 2)
         with pytest.raises(ValueError, match="shortlist"):

@@ -59,14 +59,13 @@ def random_case(seed):
     return store, queries.astype(np.float32), shortlist, k, rng
 
 
-@pytest.mark.parametrize("metric", ["l2", "ip"])
 @pytest.mark.parametrize("seed", range(16))
-def test_blocked_rerank_equals_reference(metric, seed, monkeypatch):
+def test_blocked_rerank_equals_reference(seed, monkeypatch):
     store, queries, shortlist, k, rng = random_case(seed)
-    want = rerank_reference(store, queries, shortlist, k, metric=metric)
+    want = rerank_reference(store, queries, shortlist, k)
     several = int(rng.integers(2, 11))
     for query_block in (1, several, 32):
-        got = rerank_exact(store, queries, shortlist, k, metric=metric,
+        got = rerank_exact(store, queries, shortlist, k,
                            query_block=query_block)
         assert_same_bytes(got, want)
     # Blocks cut by the byte budget rather than by query_block.
@@ -74,7 +73,7 @@ def test_blocked_rerank_equals_reference(metric, seed, monkeypatch):
     for per_block in (1, several):
         monkeypatch.setattr(rerank_module, "_RERANK_BLOCK_BYTES",
                             per_block * query_bytes)
-        got = rerank_exact(store, queries, shortlist, k, metric=metric)
+        got = rerank_exact(store, queries, shortlist, k)
         assert_same_bytes(got, want)
 
 
@@ -118,14 +117,13 @@ def test_one_call_allocates_one_block_of_scratch(rng):
     # selection's temporaries and the outputs.  Gathering all 64 queries
     # at once would take 64x the scratch.
     bound = 2 * scratch
-    for metric in ("l2", "ip"):
-        tracemalloc.start()
-        try:
-            rerank_exact(store, queries, shortlist, 10, metric=metric)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, (metric, peak, bound)
+    tracemalloc.start()
+    try:
+        rerank_exact(store, queries, shortlist, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 class TestRerankInputChecks:

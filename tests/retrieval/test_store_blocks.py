@@ -116,17 +116,16 @@ class TestMultiBlockResults:
         with pytest.raises(ValueError, match="ids"):
             blocked.gather(np.array([rows.shape[0]]))
 
-    @pytest.mark.parametrize("metric", ["l2", "ip"])
-    def test_rerank_equals_one_block_store(self, rng, monkeypatch, metric):
+    def test_rerank_equals_one_block_store(self, rng, monkeypatch):
         chunks = [rng.normal(size=(n, 8)) for n in (50, 13, 70, 27)]
         blocked, whole = filled_stores(monkeypatch, chunks, block_rows=9)
         queries = rng.normal(size=(11, 8))
         shortlist = np.stack([rng.permutation(160)[:40] for _ in range(11)])
         for query_block in (1, 4, 32):
             got = rerank_exact(blocked, queries, shortlist, 10,
-                               metric=metric, query_block=query_block)
+                               query_block=query_block)
             want = rerank_exact(whole, queries, shortlist, 10,
-                                metric=metric, query_block=query_block)
+                                query_block=query_block)
             assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("flat", [False, True])
