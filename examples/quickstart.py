@@ -72,7 +72,7 @@ def main() -> None:
     encoder4 = resnet18(width_multiplier=0.0625,
                         rng=np.random.default_rng(0))
     encoder4.load_state_dict(encoder.state_dict())
-    prepare(encoder4, observer="minmax")
+    prepare(encoder4)
     result4 = finetune(
         encoder4, data.train, data.test,
         label_fraction=0.1, precision=4, epochs=10, lr=0.02,

@@ -588,7 +588,6 @@ class QuantLayerEntry:
     kind: str
     quantized: bool
     precision: Optional[int]
-    quantize_activations: bool
     per_channel_weights: bool
 
 
@@ -637,7 +636,6 @@ class QuantizationReport:
         for e in self.entries:
             status = (
                 f"precision={e.precision} "
-                f"act={'on' if e.quantize_activations else 'off'} "
                 f"per_channel={'on' if e.per_channel_weights else 'off'}"
                 if e.quantized else "BYPASS"
             )
@@ -662,7 +660,7 @@ def audit_quantization(model: Module,
         if isinstance(module, LoweredModule):
             entries.append(QuantLayerEntry(
                 path or "<root>", type(module).__name__, True,
-                module.weight_bits, True, True,
+                module.weight_bits, True,
             ))
             continue
         if not isinstance(module, (Conv2d, Linear)):
@@ -670,13 +668,12 @@ def audit_quantization(model: Module,
         if isinstance(module, QuantizedModule):
             entries.append(QuantLayerEntry(
                 path or "<root>", type(module).__name__, True,
-                module.precision, bool(module.quantize_activations),
-                bool(module.per_channel_weights),
+                module.precision, bool(module.per_channel_weights),
             ))
         else:
             entries.append(QuantLayerEntry(
                 path or "<root>", type(module).__name__, False,
-                None, False, False,
+                None, False,
             ))
     return QuantizationReport(model_name, entries)
 

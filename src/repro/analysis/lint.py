@@ -34,8 +34,8 @@ RPR006 Parallelism outside the parallel layer: importing
 RPR007 ``QConv2d.from_float`` / ``QLinear.from_float`` called outside
        :mod:`repro.quant`.  Layer swapping must go through
        :func:`repro.quant.prepare`: hand-rolled swaps skip observer
-       attachment and the skip-callback contract, producing models
-       ``calibrate()`` and ``convert()`` reject.
+       attachment, producing models ``calibrate()`` and ``convert()``
+       reject.
 RPR008 Direct tape execution outside the engine layer: calling
        ``<expr>.backward(...)``, referencing ``_topological_order``, or
        importing ``backward`` from :mod:`repro.nn.autograd` anywhere
@@ -327,8 +327,8 @@ class _RuleVisitor(ast.NodeVisitor):
                 self._emit(
                     node, "RPR007",
                     f"{owner_name}.from_float() outside repro.quant; "
-                    f"swap layers via repro.quant.prepare() so observers "
-                    f"and the skip contract are applied consistently",
+                    f"swap layers via repro.quant.prepare() so every "
+                    f"twin gets its range observer",
                 )
         if (
             isinstance(node.func, ast.Attribute)

@@ -56,7 +56,6 @@ from ..quant import (
     prepare,
 )
 from ..quant.qmodules import QuantizedModule
-from ..telemetry import SeriesView
 from .base import TrainerBase
 from .byol import BYOL
 from .losses import byol_loss, nt_xent
@@ -122,10 +121,6 @@ class ContrastiveQuantTrainer(TrainerBase):
     rng:
         Precision-sampling generator (kept separate from data shuffling so
         runs stay reproducible).
-    max_grad_norm:
-        Optional global-norm gradient clipping — the paper observes CQ-B can
-        diverge with exploding gradients; clipping is off by default so the
-        phenomenon is observable, and benches may enable it.
     fuse_views:
         Encode both views of a same-precision pair as one concatenated
         2N-batch forward (SimCLR-style), halving forward count for CQ-B/C.
@@ -156,7 +151,6 @@ class ContrastiveQuantTrainer(TrainerBase):
         optimizer: Optimizer,
         rng: Optional[np.random.Generator] = None,
         temperature: float = 0.5,
-        max_grad_norm: Optional[float] = None,
         precision_sampler=None,
         fuse_views: bool = True,
         weight_cache: bool = True,
@@ -172,7 +166,6 @@ class ContrastiveQuantTrainer(TrainerBase):
         self.optimizer = optimizer
         self.rng = ensure_rng(rng)
         self.temperature = temperature
-        self.max_grad_norm = max_grad_norm
         #: optional schedule object with ``next_pair() -> (q1, q2)``; when
         #: None the paper's uniform per-iteration sampling is used (see
         #: repro.quant.schedule for the CPT-style alternative).
@@ -199,16 +192,6 @@ class ContrastiveQuantTrainer(TrainerBase):
     @property
     def is_byol(self) -> bool:
         return isinstance(self.method, BYOL)
-
-    @property
-    def grad_norms(self) -> SeriesView:
-        """Per-step global gradient norms (read-only telemetry view).
-
-        Populated through the ``grad_norm`` gauge; kept as an attribute
-        for compatibility with pre-telemetry code that read the ad-hoc
-        list.
-        """
-        return self.metrics.gauge("grad_norm").view()
 
     def _training_module(self):
         return self.method
@@ -402,7 +385,6 @@ class ContrastiveQuantTrainer(TrainerBase):
         """Quantization config baked into a traced step's constants."""
         return tuple(
             (
-                module.quantize_activations,
                 module.per_channel_weights,
                 module.frozen_range,
                 module.activation_range,
@@ -505,7 +487,7 @@ class ContrastiveQuantTrainer(TrainerBase):
             self.metrics.gauge("loss", term=name).set(scalar)
 
     def train_step(self, view1: np.ndarray, view2: np.ndarray) -> float:
-        from ..nn.optim import clip_grad_norm, global_grad_norm
+        from ..nn.optim import global_grad_norm
 
         self.optimizer.zero_grad()
         hits0, misses0 = self.quant_cache.hits, self.quant_cache.misses
@@ -519,12 +501,9 @@ class ContrastiveQuantTrainer(TrainerBase):
         )
         self.metrics.counter("quant_cache_hits").inc(self._last_cache[0])
         self.metrics.counter("quant_cache_misses").inc(self._last_cache[1])
-        params = self._parameters()
-        if self.max_grad_norm is not None:
-            norm = clip_grad_norm(params, self.max_grad_norm)
-        else:
-            norm = global_grad_norm(params)
-        self.metrics.gauge("grad_norm").set(norm)
+        self.metrics.gauge("grad_norm").set(
+            global_grad_norm(self._parameters())
+        )
         self.optimizer.step()
         if self.is_byol:
             self.method.update_target()
@@ -550,40 +529,35 @@ class ContrastiveQuantTrainer(TrainerBase):
         return info
 
     def _history_dict(self) -> Dict[str, List[float]]:
-        return {"loss": list(self.history), "grad_norm": list(self.grad_norms)}
+        return {
+            "loss": list(self.history),
+            "grad_norm": list(self.metrics.gauge("grad_norm").series),
+        }
 
     def _aux_state(self) -> Dict[str, object]:
-        """Precision-sampling randomness: trainer RNG + sampler position.
+        """Precision-sampling state: trainer RNG + schedule position.
 
         The sampled (q1, q2) sequence is part of the training trajectory,
-        so a bit-exact resume must continue these streams exactly.
+        so a bit-exact resume must continue it exactly.  Older checkpoints
+        that also stored a sampler's own RNG state still load; that entry
+        is ignored.
         """
-        from ..checkpoint import get_rng_state
-
         aux = super()._aux_state()
         aux["quant_cache"] = self.quant_cache.stats()
         sampler = self.precision_sampler
-        if sampler is not None:
-            if getattr(sampler, "rng", None) is not None:
-                aux["sampler_rng"] = get_rng_state(sampler.rng)
-            if hasattr(sampler, "step_count"):
-                aux["sampler_step_count"] = int(sampler.step_count)
+        if sampler is not None and hasattr(sampler, "step_count"):
+            aux["sampler_step_count"] = int(sampler.step_count)
         return aux
 
     def _load_aux_state(self, aux: Dict[str, object]) -> None:
-        from ..checkpoint import set_rng_state
-
         super()._load_aux_state(aux)
         cache_stats = aux.get("quant_cache")
         if cache_stats is not None:
             self.quant_cache.hits = int(cache_stats.get("hits", 0))
             self.quant_cache.misses = int(cache_stats.get("misses", 0))
         sampler = self.precision_sampler
-        if sampler is not None:
-            if "sampler_rng" in aux and getattr(sampler, "rng", None) is not None:
-                set_rng_state(sampler.rng, aux["sampler_rng"])
-            if "sampler_step_count" in aux and hasattr(sampler, "step_count"):
-                sampler.step_count = int(aux["sampler_step_count"])
+        if "sampler_step_count" in aux and hasattr(sampler, "step_count"):
+            sampler.step_count = int(aux["sampler_step_count"])
 
     def finalize(self) -> None:
         """Restore the encoder to full precision after pre-training."""

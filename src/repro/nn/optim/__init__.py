@@ -1,7 +1,7 @@
 """Optimizers and learning-rate schedulers."""
 
 from .adam import Adam
-from .clip import clip_grad_norm, global_grad_norm
+from .grad_norm import global_grad_norm
 from .lr_scheduler import ConstantLR, CosineAnnealingLR, LRScheduler
 from .optimizer import Optimizer
 from .sgd import SGD
@@ -13,6 +13,5 @@ __all__ = [
     "LRScheduler",
     "ConstantLR",
     "CosineAnnealingLR",
-    "clip_grad_norm",
     "global_grad_norm",
 ]

@@ -1,9 +1,12 @@
 """Quantization library: the paper's linear quantizer and model plumbing.
 
-Implements Eq. 10 of the paper (dynamic-range linear quantization of weights
-and activations), fake quantization with a straight-through estimator so
-quantized forward passes remain trainable, precision sets for per-iteration
-sampling, and precision-switchable ``QConv2d`` / ``QLinear`` modules.
+Implements Eq. 10 of the paper (per-tensor dynamic-range linear
+quantization of weights and activations), fake quantization with a
+straight-through estimator so quantized forward passes remain trainable,
+precision sets for per-iteration sampling, and precision-switchable
+``QConv2d`` / ``QLinear`` modules.  That is the one training quantizer;
+deployment adds calibrated frozen activation ranges and per-channel
+weight grids.
 Precision is applied through the scoped :class:`PrecisionContext`
 (``with precision(model, bits): ...``), which also activates an optional
 :class:`QuantCache` memoizing fake-quantized weights across same-step
@@ -12,7 +15,7 @@ forwards and a fused-view count for multi-view batching.
 Deployment is a staged, torch-style pipeline:
 
 1. :func:`prepare` — swap float layers for quantized twins (shared
-   Parameters) and attach activation-range observers;
+   Parameters) and attach a min/max activation-range observer to each;
 2. :func:`calibrate` — fit the observers on representative batches;
 3. :func:`convert` — fold BatchNorm, freeze ranges, and lower to the true
    integer kernels of :mod:`repro.quant.lowered` (verified against the
@@ -37,12 +40,11 @@ from .fake_quant import (
 )
 from .fold import fold_batch_norm
 from .lowered import IntConv2d, IntLinear, LoweredModule
-from .observer import EmaMinMaxObserver, MinMaxObserver
+from .observer import MinMaxObserver
 from .precision_set import FULL_PRECISION, PrecisionSet
 from .qmodules import QConv2d, QLinear, QuantizedModule
 from .quantizer import (
     LearnableQuantizer,
-    LinearQuantizer,
     integer_quantization_params,
     linear_quantize,
     linear_quantize_per_channel,
@@ -50,7 +52,7 @@ from .quantizer import (
     linear_quantize_static,
     quantize_to_int,
 )
-from .schedule import CyclicPrecisionSchedule, RandomPrecisionSampler
+from .schedule import CyclicPrecisionSchedule
 
 __all__ = [
     "linear_quantize",
@@ -59,14 +61,12 @@ __all__ = [
     "linear_quantize_static",
     "integer_quantization_params",
     "quantize_to_int",
-    "LinearQuantizer",
     "LearnableQuantizer",
     "fake_quantize",
     "fake_quantize_per_channel",
     "fake_quantize_per_view",
     "fake_quantize_static",
     "MinMaxObserver",
-    "EmaMinMaxObserver",
     "PrecisionSet",
     "FULL_PRECISION",
     "QuantizedModule",
@@ -90,5 +90,4 @@ __all__ = [
     "active_views",
     "count_quantized_modules",
     "CyclicPrecisionSchedule",
-    "RandomPrecisionSampler",
 ]

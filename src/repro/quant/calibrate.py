@@ -34,7 +34,6 @@ def calibrate(
     model: Module,
     batches: Iterable,
     bits: Optional[int] = None,
-    max_batches: Optional[int] = None,
 ) -> Dict[str, Tuple[float, float]]:
     """Fit activation-range observers by running calibration batches.
 
@@ -49,8 +48,6 @@ def calibrate(
         Optional precision applied to the whole model first (persistently,
         via :func:`repro.quant.apply_precision`).  When omitted, every
         quantized module must already carry a precision.
-    max_batches:
-        Optional cap on how many batches are consumed.
 
     Returns the mapping of module path to fitted ``(lo, hi)`` range.
     Forwards run in eval mode under ``no_grad``; the previous training
@@ -67,11 +64,7 @@ def calibrate(
         )
     if bits is not None:
         apply_precision(model, bits)
-    missing = [
-        path
-        for path, m in qmods
-        if m.quantize_activations and m.precision is None
-    ]
+    missing = [path for path, m in qmods if m.precision is None]
     if missing:
         raise ValueError(
             f"modules without a precision: {missing}; pass bits= or use "
@@ -93,8 +86,6 @@ def calibrate(
     try:
         with no_grad():
             for batch in batches:
-                if max_batches is not None and consumed >= max_batches:
-                    break
                 model(_to_input_tensor(batch))
                 consumed += 1
     finally:

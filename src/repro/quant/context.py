@@ -27,24 +27,22 @@ from .qmodules import QuantizedModule
 __all__ = ["PrecisionContext", "precision", "apply_precision"]
 
 
-def apply_precision(
-    model: Module, bits: Optional[int], strict: bool = True
-) -> int:
+def apply_precision(model: Module, bits: Optional[int]) -> int:
     """Imperatively set the precision of every quantized module.
 
     Returns how many modules were switched.  ``bits=None`` restores full
-    precision.  With ``strict`` (default), raises if the model contains no
-    quantized modules — calling this on an unconverted model is a bug.
-    Prefer :class:`PrecisionContext` where the precision has a natural
-    scope; use this only for open-ended switches (e.g. leaving an encoder
-    at full precision after training).
+    precision.  Raises if the model contains no quantized modules —
+    calling this on an unconverted model is a bug.  Prefer
+    :class:`PrecisionContext` where the precision has a natural scope; use
+    this only for open-ended switches (e.g. leaving an encoder at full
+    precision after training).
     """
     count = 0
     for module in model.modules():
         if isinstance(module, QuantizedModule):
             module.set_precision(bits)
             count += 1
-    if count == 0 and strict:
+    if count == 0:
         raise ValueError(
             "apply_precision() found no quantized modules; "
             "run prepare() first"

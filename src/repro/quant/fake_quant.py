@@ -6,9 +6,9 @@ from typing import Optional
 
 from ..nn.tensor import Tensor, as_tensor
 from .quantizer import (
-    LinearQuantizer,
     _FakeQuantPerChannelSTE,
     _FakeQuantPerViewSTE,
+    _FakeQuantSTE,
     _FakeQuantStaticSTE,
 )
 
@@ -19,8 +19,6 @@ __all__ = [
     "fake_quantize_static",
 ]
 
-_default_quantizer = LinearQuantizer()
-
 
 def fake_quantize(tensor: Tensor, bits: Optional[int]) -> Tensor:
     """Fake-quantize ``tensor`` to ``bits`` with the paper's Eq. 10 + STE.
@@ -30,7 +28,9 @@ def fake_quantize(tensor: Tensor, bits: Optional[int]) -> Tensor:
     lets quantization act as a *trainable* augmentation on weights and
     activations.
     """
-    return _default_quantizer(as_tensor(tensor), bits)
+    if bits is None:
+        return as_tensor(tensor)
+    return _FakeQuantSTE.apply(as_tensor(tensor), bits=bits)
 
 
 def fake_quantize_static(

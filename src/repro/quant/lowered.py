@@ -31,7 +31,7 @@ graph, and the fake-quant round trips.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -448,12 +448,7 @@ def _require_deployable(q, kind: str) -> Tuple[float, float]:
     if q.precision is None:
         raise ValueError(
             f"{kind} has no precision set; apply_precision() or pass "
-            f"bits= to convert()"
-        )
-    if not q.quantize_activations:
-        raise ValueError(
-            f"{kind} has quantize_activations disabled; the integer engine "
-            f"requires quantized inputs (weight-only layers cannot lower)"
+            f"bits= to calibrate()"
         )
     rng = q.activation_range
     if rng is None:

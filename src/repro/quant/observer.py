@@ -1,10 +1,11 @@
-"""Dynamic-range observers for activation quantization.
+"""The activation-range observer of the deployment pipeline.
 
-The paper quantizes with the tensor's own dynamic range each call
-(:class:`MinMaxObserver` in ``per_call`` mode is equivalent to passing no
-observer).  :class:`EmaMinMaxObserver` smooths the range across batches —
-useful when deploying a fixed-precision model after training, and exercised
-by the quantizer ablation bench.
+Training never observes: the paper quantizes each tensor with its own
+dynamic range on every call.  For deployment, :func:`repro.quant.prepare`
+attaches one :class:`MinMaxObserver` per quantized module and
+:func:`repro.quant.calibrate` fits it on representative batches;
+:func:`repro.quant.convert` then freezes the fitted range into the integer
+kernels' activation grid.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["MinMaxObserver", "EmaMinMaxObserver"]
+__all__ = ["MinMaxObserver"]
 
 
 class MinMaxObserver:
@@ -28,32 +29,6 @@ class MinMaxObserver:
         hi = float(np.max(array))
         self.min = lo if self.min is None else min(self.min, lo)
         self.max = hi if self.max is None else max(self.max, hi)
-        return self.min, self.max
-
-    def reset(self) -> None:
-        self.min = None
-        self.max = None
-
-
-class EmaMinMaxObserver:
-    """Exponential-moving-average min/max observer."""
-
-    def __init__(self, momentum: float = 0.9) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def update(self, array: np.ndarray) -> Tuple[float, float]:
-        lo = float(np.min(array))
-        hi = float(np.max(array))
-        if self.min is None:
-            self.min, self.max = lo, hi
-        else:
-            m = self.momentum
-            self.min = m * self.min + (1 - m) * lo
-            self.max = m * self.max + (1 - m) * hi
         return self.min, self.max
 
     def reset(self) -> None:

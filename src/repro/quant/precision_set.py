@@ -7,7 +7,7 @@ bit-width in the range, inclusive).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,21 +59,9 @@ class PrecisionSet:
         """Draw one precision uniformly."""
         return int(rng.choice(self.bits))
 
-    def sample_pair(
-        self, rng: np.random.Generator, distinct: bool = False
-    ) -> Tuple[int, int]:
-        """Draw the per-iteration ``(q1, q2)`` pair.
-
-        ``distinct=True`` forces two different precisions (requires a set of
-        size >= 2); the paper's default allows collisions.
-        """
-        if distinct:
-            if len(self.bits) < 2:
-                raise ValueError(
-                    "distinct sampling requires at least two precisions"
-                )
-            pair = rng.choice(len(self.bits), size=2, replace=False)
-            return int(self.bits[pair[0]]), int(self.bits[pair[1]])
+    def sample_pair(self, rng: np.random.Generator) -> Tuple[int, int]:
+        """Draw the per-iteration ``(q1, q2)`` pair: two independent draws,
+        so the two precisions may coincide, as in the paper."""
         return self.sample(rng), self.sample(rng)
 
     # -- container protocol -----------------------------------------------------

@@ -6,9 +6,13 @@ applied around each forward with :class:`repro.quant.PrecisionContext`
 (scoped; restores the previous bits on exit), which makes the same weights
 produce differently-augmented features.
 
-Both the weights and the input activations are fake-quantized (Eq. 10 +
-straight-through estimator), matching the paper's "weights and activations"
-augmentation.  Weight quantization consults the active
+Both the weights and the input activations are fake-quantized at the
+module's precision (Eq. 10 + straight-through estimator, one dynamic range
+per tensor), matching the paper's "weights and activations" augmentation;
+there is no weight-only mode.  The deployment pipeline switches two flags
+on: ``frozen_range`` (calibrated activation range) and
+``per_channel_weights`` (one weight range per output channel), the grids
+the integer kernels use.  Weight quantization consults the active
 :class:`~repro.quant.QuantCache` (if any) so repeated same-precision
 forwards within one step reuse the memoized quantized weight; activation
 quantization honours the active fused-view count so concatenated
@@ -41,7 +45,6 @@ class QuantizedModule:
 
     ``precision is None`` means full precision; an integer selects the
     bit-width used for both the weight and the incoming activation.
-    ``quantize_activations`` can be disabled for weight-only ablations.
 
     Deployment plumbing (the staged ``prepare()/calibrate()/convert()``
     pipeline): :func:`repro.quant.prepare` attaches an
@@ -56,11 +59,12 @@ class QuantizedModule:
     """
 
     precision: Optional[int] = None
-    quantize_activations: bool = True
     #: quantize the weight with one dynamic range per output channel
-    #: (extension beyond the paper's per-tensor scheme).
+    #: (the deployment grid ``freeze_reference()`` sets; training uses
+    #: the paper's per-tensor range).
     per_channel_weights: bool = False
-    #: range observer attached by ``prepare()`` (None when absent).
+    #: range observer attached by ``prepare()`` (None on a twin built
+    #: directly, which ``calibrate()`` rejects).
     activation_observer = None
     #: True only while ``calibrate()`` streams batches through the model.
     observing: bool = False
@@ -90,7 +94,7 @@ class QuantizedModule:
                 float(self.activation_observer.max))
 
     def _quantize_input(self, x):
-        if self.precision is None or not self.quantize_activations:
+        if self.precision is None:
             return x
         if self.observing and self.activation_observer is not None:
             self.activation_observer.update(np.asarray(x.data))
@@ -128,7 +132,6 @@ class QConv2d(Conv2d, QuantizedModule):
     def __init__(self, *args, precision: Optional[int] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.precision = precision
-        self.quantize_activations = True
 
     @classmethod
     def from_float(cls, conv: Conv2d) -> "QConv2d":
@@ -146,7 +149,6 @@ class QConv2d(Conv2d, QuantizedModule):
         q.weight = conv.weight  # shared Parameter: training updates both views
         q.bias = conv.bias
         q.precision = None
-        q.quantize_activations = True
         return q
 
     def forward(self, x):
@@ -176,7 +178,6 @@ class QLinear(Linear, QuantizedModule):
     def __init__(self, *args, precision: Optional[int] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.precision = precision
-        self.quantize_activations = True
 
     @classmethod
     def from_float(cls, linear: Linear) -> "QLinear":
@@ -190,7 +191,6 @@ class QLinear(Linear, QuantizedModule):
         q.weight = linear.weight
         q.bias = linear.bias
         q.precision = None
-        q.quantize_activations = True
         return q
 
     def forward(self, x):

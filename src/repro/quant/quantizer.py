@@ -28,7 +28,6 @@ __all__ = [
     "linear_quantize_static",
     "integer_quantization_params",
     "quantize_to_int",
-    "LinearQuantizer",
     "LearnableQuantizer",
 ]
 
@@ -41,22 +40,15 @@ def quantization_step(a_min: float, a_max: float, bits: int) -> float:
     return a_range / (2.0 ** bits - 1.0)
 
 
-def linear_quantize(
-    array: np.ndarray,
-    bits: int,
-    a_min: Optional[float] = None,
-    a_max: Optional[float] = None,
-) -> np.ndarray:
+def linear_quantize(array: np.ndarray, bits: int) -> np.ndarray:
     """Apply Eq. 10 to a raw numpy array (no autograd).
 
-    The dynamic range defaults to the array's own min/max, matching the
-    paper's per-tensor dynamic quantization.  A constant array (zero range)
-    is returned unchanged — there is nothing to quantize.
+    The dynamic range is the array's own min/max: the paper's per-tensor
+    dynamic quantization.  A constant array (zero range) is returned
+    unchanged — there is nothing to quantize.
     """
     array = np.asarray(array)
-    lo = float(array.min()) if a_min is None else float(a_min)
-    hi = float(array.max()) if a_max is None else float(a_max)
-    step = quantization_step(lo, hi, bits)
+    step = quantization_step(float(array.min()), float(array.max()), bits)
     if step == 0.0 or not math.isfinite(step):
         return array.copy()
     return (step * np.round(array / step)).astype(array.dtype)
@@ -174,8 +166,8 @@ class _FakeQuantSTE(Function):
     occurs and the straight-through gradient needs no mask.
     """
 
-    def forward(self, a, bits, a_min=None, a_max=None):
-        return linear_quantize(a, bits, a_min, a_max)
+    def forward(self, a, bits):
+        return linear_quantize(a, bits)
 
     def backward(self, grad):
         return (grad,)
@@ -215,35 +207,6 @@ class _FakeQuantPerViewSTE(Function):
 
     def backward(self, grad):
         return (grad,)
-
-
-class LinearQuantizer:
-    """Callable quantizer object implementing the paper's scheme with STE.
-
-    Parameters
-    ----------
-    observer:
-        Optional range observer (see :mod:`repro.quant.observer`).  When
-        None, the dynamic range is recomputed from each tensor (the paper's
-        configuration).
-    """
-
-    def __init__(self, observer=None) -> None:
-        self.observer = observer
-
-    def __call__(self, tensor: Tensor, bits: Optional[int]) -> Tensor:
-        """Fake-quantize ``tensor`` to ``bits``; identity when bits is None."""
-        if bits is None:
-            return as_tensor(tensor)
-        tensor = as_tensor(tensor)
-        if self.observer is not None:
-            lo, hi = self.observer.update(tensor.data)
-        else:
-            lo = hi = None
-        return _FakeQuantSTE.apply(tensor, bits=bits, a_min=lo, a_max=hi)
-
-    def __repr__(self) -> str:
-        return f"LinearQuantizer(observer={self.observer!r})"
 
 
 class _LearnableQuantSTE(Function):
@@ -287,10 +250,3 @@ class LearnableQuantizer(Module):
         if bits is None:
             return as_tensor(x)
         return _LearnableQuantSTE.apply(as_tensor(x), self.step, bits=bits)
-
-
-def quantization_error(array: np.ndarray, bits: int) -> Tuple[float, float]:
-    """Return (max-abs, rms) quantization error of Eq. 10 at ``bits``."""
-    q = linear_quantize(array, bits)
-    err = np.abs(np.asarray(array, dtype=np.float64) - q)
-    return float(err.max()), float(np.sqrt(np.mean(err ** 2)))

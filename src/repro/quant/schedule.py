@@ -13,31 +13,18 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-
 from .precision_set import PrecisionSet
 
-__all__ = ["CyclicPrecisionSchedule", "RandomPrecisionSampler"]
-
-
-class RandomPrecisionSampler:
-    """The paper's default: uniform i.i.d. pair sampling per iteration."""
-
-    def __init__(self, precision_set: PrecisionSet,
-                 rng: np.random.Generator) -> None:
-        self.precision_set = PrecisionSet.parse(precision_set)
-        self.rng = rng
-
-    def next_pair(self) -> Tuple[int, int]:
-        return self.precision_set.sample_pair(self.rng)
+__all__ = ["CyclicPrecisionSchedule"]
 
 
 class CyclicPrecisionSchedule:
     """CPT-style cosine cycling between the lowest and highest precision.
 
-    Precision sweeps low -> high over each cycle of ``period`` steps; the
-    second precision of the pair is offset by half a cycle so the two
-    encoder passes still see different quantization levels.
+    Precision ramps low -> high over each cycle of ``period`` steps, then
+    restarts at the lowest; the second precision of the pair is offset by
+    half a cycle so the two encoder passes see different quantization
+    levels (at every step on the ablation's 2-8 set).
     """
 
     def __init__(self, precision_set: PrecisionSet, period: int = 32) -> None:
@@ -51,8 +38,8 @@ class CyclicPrecisionSchedule:
         lo = self.precision_set.min_bits
         hi = self.precision_set.max_bits
         phase = (step % self.period) / self.period
-        # Cosine ramp low -> high within the cycle.
-        level = lo + (hi - lo) * 0.5 * (1.0 - math.cos(math.pi * phase * 2))
+        # Cosine ramp low -> high within the cycle (half a cosine period).
+        level = lo + (hi - lo) * 0.5 * (1.0 - math.cos(math.pi * phase))
         bits = int(round(level))
         # Snap to the nearest member of the set.
         return min(self.precision_set.bits, key=lambda b: abs(b - bits))

@@ -31,7 +31,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SeriesView,
     format_series_name,
 )
 from .tracing import OpProfiler, OpStat, Timer, profile, span
@@ -41,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SeriesView",
     "format_series_name",
     "Timer",
     "span",

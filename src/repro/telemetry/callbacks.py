@@ -154,13 +154,12 @@ class EarlyDivergenceGuard(Callback):
         if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"{what} loss is {loss!r} at {where}: training diverged "
-                "(consider max_grad_norm clipping or a smaller lr)"
+                "(consider a smaller lr)"
             )
         if abs(loss) > self.max_loss:
             raise TrainingDiverged(
                 f"{what} loss {loss:.3g} exceeds max_loss={self.max_loss:.3g} "
-                f"at {where}: training diverged (consider max_grad_norm "
-                "clipping or a smaller lr)"
+                f"at {where}: training diverged (consider a smaller lr)"
             )
 
     def on_step(self, trainer, payload: Dict) -> None:

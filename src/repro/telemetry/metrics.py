@@ -17,7 +17,7 @@ read-modify-write; without the lock, concurrent increments lose updates.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SeriesView",
     "format_series_name",
 ]
 
@@ -39,41 +38,6 @@ def format_series_name(name: str, labels: Labels) -> str:
         return name
     inner = ", ".join(f'{key}="{value}"' for key, value in labels)
     return f"{name}{{{inner}}}"
-
-
-class SeriesView(Sequence):
-    """Read-only live view over a metric's recorded values.
-
-    Used to expose internal telemetry series (e.g. the CQ trainer's
-    ``grad_norms``) without letting callers mutate them.  Reads are
-    single list operations (atomic under the GIL against the appends a
-    Gauge performs), so the view itself carries no lock.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: List[float]) -> None:
-        self._values = values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, index):
-        result = self._values[index]
-        return list(result) if isinstance(index, slice) else result
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._values)
-
-    def __repr__(self) -> str:
-        return f"SeriesView({self._values!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SeriesView):
-            return self._values == other._values
-        if isinstance(other, (list, tuple)):
-            return list(self._values) == list(other)
-        return NotImplemented
 
 
 class _Metric:
@@ -152,11 +116,6 @@ class Gauge(_Metric):
     def series(self) -> Tuple[float, ...]:
         with self._lock:
             return tuple(self._series)
-
-    def view(self) -> SeriesView:
-        """Live read-only view (tracks future ``set()`` calls)."""
-        with self._lock:
-            return SeriesView(self._series)
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -318,7 +277,7 @@ class MetricsRegistry:
 
         Unlike :meth:`collect` (a summary snapshot), this preserves the
         complete gauge/histogram series so a resumed run's metrics — and
-        anything derived from them, like the CQ trainer's ``grad_norms``
+        anything derived from them, like the CQ trainer's ``grad_norm``
         history — continue exactly where they left off.
         """
         with self._lock:
@@ -343,9 +302,9 @@ class MetricsRegistry:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict` dump.
 
-        Metrics are get-or-created and refilled *in place*, so live
-        :class:`SeriesView` objects handed out before the restore keep
-        tracking the restored series.
+        Metrics are get-or-created and refilled *in place*, so a metric
+        object fetched before the restore keeps tracking the restored
+        series.
         """
         kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
         with self._lock:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.checkpoint import CheckpointCallback, Checkpointer
 from repro.quant import PrecisionSet
-from repro.quant.schedule import CyclicPrecisionSchedule, RandomPrecisionSampler
+from repro.quant.schedule import CyclicPrecisionSchedule
 
 from .helpers import (
     StepCollector,
@@ -162,14 +162,6 @@ class TestPrecisionSamplerState:
             trainer.fit(make_loader(), epochs=TOTAL_EPOCHS,
                         callbacks=(PairTap(),), resume_from=checkpointer)
         return pairs
-
-    def test_random_sampler_rng_restored(self, tmp_path):
-        factory = lambda: RandomPrecisionSampler(  # noqa: E731
-            PrecisionSet.parse("2-8"), np.random.default_rng(11)
-        )
-        ref = self._run(factory, tmp_path / "a", split=None)
-        resumed = self._run(factory, tmp_path / "b", split=2)
-        assert resumed == ref[len(ref) - len(resumed):]
 
     def test_cyclic_schedule_position_restored(self, tmp_path):
         factory = lambda: CyclicPrecisionSchedule(  # noqa: E731

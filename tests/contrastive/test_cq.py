@@ -115,7 +115,7 @@ class TestAllVariantsTrain:
         v1, v2 = views(rng)
         loss = trainer.train_step(v1, v2)
         assert np.isfinite(loss)
-        assert len(trainer.grad_norms) == 1
+        assert len(trainer.metrics.gauge("grad_norm").series) == 1
 
     def test_byol_loss_finite_and_trains(self, rng, variant):
         trainer = make_trainer(rng, variant=variant, base="byol")
@@ -219,15 +219,6 @@ class TestTrainingMachinery:
         out = trainer.fit(loader, epochs=2)
         assert len(out["loss"]) == 2
         assert all(np.isfinite(v) for v in out["loss"])
-
-    def test_gradient_clipping_bounds_norm(self, rng):
-        from repro.nn.optim import global_grad_norm
-
-        trainer = make_trainer(rng, variant="A", max_grad_norm=0.01)
-        v1, v2 = views(rng)
-        trainer.train_step(v1, v2)
-        clipped = global_grad_norm(trainer._parameters())
-        assert clipped <= 0.011
 
     def test_finalize_restores_full_precision(self, rng):
         trainer = make_trainer(rng, variant="C")

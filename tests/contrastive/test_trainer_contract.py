@@ -6,8 +6,6 @@ the full event lifecycle — so downstream orchestration can treat them
 interchangeably.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -184,20 +182,6 @@ class TestCQTelemetry:
         loss = trainer.train_step(v1, v2)
         assert loss == pytest.approx(
             sum(trainer.step_info()["loss_terms"].values()), rel=1e-5
-        )
-
-    def test_grad_norms_is_read_only_view(self, rng):
-        trainer = build("cq", rng)
-        v1, v2, _ = loader(rng)[0]
-        trainer.train_step(v1, v2)
-        assert len(trainer.grad_norms) == 1
-        assert np.isfinite(trainer.grad_norms[0])
-        assert not hasattr(trainer.grad_norms, "append")
-        with pytest.raises(AttributeError):
-            trainer.grad_norms = []
-        # backed by the grad_norm gauge series
-        assert list(trainer.grad_norms) == list(
-            trainer.metrics.gauge("grad_norm").series
         )
 
     def test_precision_gauges_recorded(self, rng):

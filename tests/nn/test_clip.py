@@ -1,10 +1,10 @@
-"""Gradient clipping utility tests."""
+"""Global gradient norm tests."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import clip_grad_norm, global_grad_norm
+from repro.nn.optim import global_grad_norm
 
 
 def params_with_grads(*grads):
@@ -28,29 +28,3 @@ class TestGlobalGradNorm:
     def test_missing_grads_skipped(self):
         p = Parameter(np.zeros(2, dtype=np.float32))
         assert global_grad_norm([p]) == 0.0
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        params = params_with_grads([3.0, 4.0])
-        returned = clip_grad_norm(params, max_norm=10.0)
-        assert returned == pytest.approx(5.0)
-        np.testing.assert_allclose(params[0].grad, [3.0, 4.0])
-
-    def test_clips_to_threshold(self):
-        params = params_with_grads([3.0, 4.0])
-        returned = clip_grad_norm(params, max_norm=1.0)
-        assert returned == pytest.approx(5.0)  # pre-clip norm returned
-        assert global_grad_norm(params) == pytest.approx(1.0, rel=1e-5)
-
-    def test_direction_preserved(self):
-        params = params_with_grads([3.0, 4.0])
-        clip_grad_norm(params, max_norm=1.0)
-        np.testing.assert_allclose(
-            params[0].grad / np.linalg.norm(params[0].grad),
-            [0.6, 0.8], rtol=1e-5,
-        )
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm(params_with_grads([1.0]), max_norm=0.0)

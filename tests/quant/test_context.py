@@ -122,9 +122,8 @@ class TestApplyPrecision:
         assert apply_precision(model, None) == 2
         assert all(m.precision is None for m in qmodules(model))
 
-    def test_strict_raises_on_unquantized_model(self):
+    def test_raises_on_unquantized_model(self):
         plain = nn.Linear(4, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="no quantized modules"):
             apply_precision(plain, 4)
-        assert apply_precision(plain, 4, strict=False) == 0
 

@@ -15,6 +15,7 @@ from repro.quant import (
     IntConv2d,
     IntLinear,
     LoweredModule,
+    QLinear,
     QuantizedModule,
     calibrate,
     convert,
@@ -51,7 +52,7 @@ class TestPerLayerEquivalence:
             rng, (4, 3, 8, 8), bits=bits,
         )
         fake = freeze_reference(copy.deepcopy(model))
-        convert(model, input_shape=(2, 3, 8, 8), bits=bits)
+        convert(model, input_shape=(2, 3, 8, 8))
         assert isinstance(model[0], IntConv2d)
         x = rng.normal(size=(4, 3, 8, 8))
         np.testing.assert_allclose(
@@ -64,7 +65,7 @@ class TestPerLayerEquivalence:
             nn.Sequential(nn.Linear(6, 4, rng=rng)), rng, (4, 6), bits=bits
         )
         fake = freeze_reference(copy.deepcopy(model))
-        convert(model, input_shape=(2, 6), bits=bits)
+        convert(model, input_shape=(2, 6))
         assert isinstance(model[0], IntLinear)
         x = rng.normal(size=(4, 6))
         np.testing.assert_allclose(
@@ -131,7 +132,7 @@ class TestConvertContract:
     def test_requires_calibration(self, rng):
         model = prepare(nn.Sequential(nn.Linear(6, 4, rng=rng)))
         with pytest.raises(ConvertError, match="not ready"):
-            convert(model, input_shape=(2, 6), bits=BITS)
+            convert(model, input_shape=(2, 6))
 
     def test_requires_prepare(self, rng):
         model = nn.Sequential(nn.Linear(6, 4, rng=rng))
@@ -149,6 +150,37 @@ class TestConvertContract:
                 convert(model, input_shape=(2, 6))
         finally:
             np.allclose = real_allclose
+
+    def test_retry_after_divergence_is_checked_again(self, rng):
+        model = _calibrated(
+            nn.Sequential(nn.Linear(6, 4, rng=rng)), rng, (4, 6)
+        )
+        real_allclose = np.allclose
+        try:
+            np.allclose = lambda *a, **k: False
+            for _ in range(2):
+                with pytest.raises(ConvertError, match="diverges"):
+                    convert(model, input_shape=(2, 6))
+                # the failed call left the frozen fake-quant reference
+                assert isinstance(model[0], QLinear)
+                assert model[0].frozen_range
+        finally:
+            np.allclose = real_allclose
+        convert(model, input_shape=(2, 6))  # passes once the check does
+        assert isinstance(model[0], IntLinear)
+
+    def test_retry_after_coverage_failure_is_checked_again(self, rng):
+        model = _calibrated(
+            nn.Sequential(nn.Linear(6, 4, rng=rng), nn.ReLU(),
+                          nn.Linear(4, 3, rng=rng)),
+            rng, (4, 6),
+        )
+        setattr(model, "2", nn.Linear(4, 3, rng=rng))  # a float layer
+        for _ in range(2):
+            with pytest.raises(ConvertError, match="AUD001"):
+                convert(model, input_shape=(2, 6))
+            assert not any(isinstance(m, LoweredModule)
+                           for m in model.modules())
 
     def test_freeze_reference_requires_prepare(self, rng):
         with pytest.raises(ConvertError, match="no quantized modules"):

@@ -8,7 +8,6 @@ from repro.quant import (
     CyclicPrecisionSchedule,
     PrecisionSet,
     QConv2d,
-    RandomPrecisionSampler,
     fake_quantize_per_channel,
     linear_quantize,
     linear_quantize_per_channel,
@@ -64,7 +63,6 @@ class TestPerChannelQuantize:
     def test_qconv_per_channel_mode(self, rng):
         conv = QConv2d(3, 4, 3, padding=1, rng=rng)
         conv.set_precision(3)
-        conv.quantize_activations = False
         x = nn.Tensor(rng.normal(size=(1, 3, 6, 6)))
         per_tensor_out = conv(x).data.copy()
         conv.per_channel_weights = True
@@ -73,13 +71,6 @@ class TestPerChannelQuantize:
 
 
 class TestSchedules:
-    def test_random_sampler_in_set(self, rng):
-        sampler = RandomPrecisionSampler(PrecisionSet.parse("4-8"), rng)
-        for _ in range(20):
-            q1, q2 = sampler.next_pair()
-            assert q1 in sampler.precision_set
-            assert q2 in sampler.precision_set
-
     def test_cyclic_covers_extremes(self):
         sched = CyclicPrecisionSchedule(PrecisionSet.parse("2-8"), period=8)
         seen = set()
@@ -100,6 +91,18 @@ class TestSchedules:
                                         period=10)
         q1, q2 = sched.next_pair()
         assert q1 != q2  # half a cycle apart on a wide set
+
+    def test_cyclic_ramps_low_to_high_each_cycle(self):
+        # CPT: each cycle rises from the lowest to the highest precision
+        # and restarts; the half-cycle partner never equals q1 on the
+        # ablation's 2-8 set.
+        sched = CyclicPrecisionSchedule(PrecisionSet.parse("2-8"), period=16)
+        for _ in range(2):
+            cycle = [sched.next_pair() for _ in range(16)]
+            q1s = [q1 for q1, _ in cycle]
+            assert q1s[0] == 2 and q1s[-1] == 8
+            assert all(a <= b for a, b in zip(q1s, q1s[1:]))
+            assert all(q1 != q2 for q1, q2 in cycle)
 
     def test_period_validation(self):
         with pytest.raises(ValueError):

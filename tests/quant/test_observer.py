@@ -1,9 +1,8 @@
 """Range-observer tests."""
 
 import numpy as np
-import pytest
 
-from repro.quant import EmaMinMaxObserver, MinMaxObserver
+from repro.quant import MinMaxObserver
 
 
 class TestMinMaxObserver:
@@ -26,26 +25,3 @@ class TestMinMaxObserver:
         obs.update(np.array([5.0]))
         obs.reset()
         assert obs.min is None and obs.max is None
-
-
-class TestEmaObserver:
-    def test_first_update_initialises(self):
-        obs = EmaMinMaxObserver(momentum=0.9)
-        lo, hi = obs.update(np.array([-1.0, 2.0]))
-        assert (lo, hi) == (-1.0, 2.0)
-
-    def test_ema_smooths_towards_new_range(self):
-        obs = EmaMinMaxObserver(momentum=0.5)
-        obs.update(np.array([0.0, 1.0]))
-        lo, hi = obs.update(np.array([0.0, 3.0]))
-        assert hi == pytest.approx(2.0)  # halfway between 1 and 3
-
-    def test_momentum_validated(self):
-        with pytest.raises(ValueError):
-            EmaMinMaxObserver(momentum=1.0)
-
-    def test_reset(self):
-        obs = EmaMinMaxObserver()
-        obs.update(np.array([1.0]))
-        obs.reset()
-        assert obs.min is None

@@ -53,16 +53,6 @@ class TestSampling:
         q1, q2 = ps.sample_pair(rng)
         assert q1 in ps and q2 in ps
 
-    def test_distinct_pair(self, rng):
-        ps = PrecisionSet.parse("6-16")
-        for _ in range(50):
-            q1, q2 = ps.sample_pair(rng, distinct=True)
-            assert q1 != q2
-
-    def test_distinct_requires_two(self, rng):
-        with pytest.raises(ValueError):
-            PrecisionSet([8]).sample_pair(rng, distinct=True)
-
     def test_sampling_covers_set(self, rng):
         ps = PrecisionSet.parse("6-16")
         seen = {ps.sample(rng) for _ in range(500)}

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import functional as F
 from repro.quant import fake_quantize, linear_quantize
-from repro.quant.quantizer import (
-    LearnableQuantizer,
-    LinearQuantizer,
-    quantization_error,
-    quantization_step,
-)
+from repro.quant.quantizer import LearnableQuantizer, quantization_step
 
 
 class TestLinearQuantize:
@@ -43,18 +37,15 @@ class TestLinearQuantize:
 
     def test_more_bits_less_error(self, rng):
         x = rng.normal(size=500).astype(np.float64)
-        errors = [quantization_error(x, b)[1] for b in (2, 4, 6, 8, 12)]
+        errors = [
+            np.sqrt(np.mean((x - linear_quantize(x, b)) ** 2))
+            for b in (2, 4, 6, 8, 12)
+        ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_constant_array_unchanged(self):
         x = np.full(10, 3.14, dtype=np.float32)
         np.testing.assert_array_equal(linear_quantize(x, 4), x)
-
-    def test_explicit_range(self):
-        x = np.array([0.0, 0.5, 1.0], dtype=np.float32)
-        q = linear_quantize(x, 1, a_min=0.0, a_max=1.0)
-        # One bit: step = 1.0, values snap to {0, 1}.
-        assert set(np.unique(q)) <= {0.0, 1.0}
 
     def test_preserves_dtype(self, rng):
         x = rng.normal(size=10).astype(np.float32)
@@ -63,13 +54,6 @@ class TestLinearQuantize:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             linear_quantize(np.ones(3), 0)
-
-    def test_idempotent(self, rng):
-        # Quantizing an already-quantized tensor (same range) is identity.
-        x = rng.normal(size=100).astype(np.float64)
-        q1 = linear_quantize(x, 4)
-        q2 = linear_quantize(q1, 4, a_min=x.min(), a_max=x.max())
-        np.testing.assert_allclose(q1, q2, atol=1e-10)
 
 
 class TestFakeQuantizeSTE:
@@ -103,28 +87,6 @@ class TestFakeQuantizeSTE:
             for b in (2, 4, 8, 16)
         ]
         assert all(a > b for a, b in zip(noise, noise[1:]))
-
-
-class TestLinearQuantizerObject:
-    def test_callable_matches_function(self, rng):
-        x = nn.Tensor(rng.normal(size=(10,)))
-        q = LinearQuantizer()
-        np.testing.assert_array_equal(
-            q(x, 4).data, fake_quantize(x, 4).data
-        )
-
-    def test_with_observer_uses_running_range(self, rng):
-        from repro.quant import MinMaxObserver
-
-        obs = MinMaxObserver()
-        q = LinearQuantizer(observer=obs)
-        q(nn.Tensor(np.array([-2.0, 2.0], dtype=np.float32)), 4)
-        out = q(nn.Tensor(np.array([0.0, 1.0], dtype=np.float32)), 4)
-        # The range (still [-2, 2]) comes from the observer, so the step is
-        # 4/15 — outputs snap to that grid.
-        step = 4.0 / 15.0
-        ratios = out.data / step
-        np.testing.assert_allclose(ratios, np.round(ratios), atol=1e-4)
 
 
 class TestLearnableQuantizer:

@@ -8,7 +8,6 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SeriesView,
     format_series_name,
 )
 
@@ -35,21 +34,6 @@ class TestGauge:
         gauge.set(1.5)
         assert gauge.value == 1.5
         assert gauge.series == (2.0, 1.5)
-
-    def test_view_is_live_and_read_only(self):
-        gauge = MetricsRegistry().gauge("grad_norm")
-        view = gauge.view()
-        assert isinstance(view, SeriesView)
-        assert len(view) == 0
-        gauge.set(1.0)
-        gauge.set(2.0)
-        assert len(view) == 2
-        assert view[-1] == 2.0
-        assert list(view) == [1.0, 2.0]
-        assert view[0:2] == [1.0, 2.0]
-        assert not hasattr(view, "append")
-        with pytest.raises(TypeError):
-            view[0] = 9.0
 
 
 class TestHistogram:

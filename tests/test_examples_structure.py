@@ -1,9 +1,9 @@
 """Examples stay importable and follow the script contract.
 
-The CI ``tests`` job runs ``examples/quickstart.py`` and
-``examples/framework_zoo.py`` end to end (step "Examples end to end");
-the other examples run manually.  These tests catch import-time
-breakage (renamed APIs, typos) in every example cheaply.
+The CI ``tests`` job runs every example end to end (step "Examples end
+to end"), which is what catches a removed API the examples call at run
+time.  These tests catch import-time breakage (renamed modules, typos)
+in every example cheaply, inside tier-1.
 """
 
 import importlib.util
